@@ -33,7 +33,7 @@ struct Measurement {
 
 /// Builds (once) and runs a program, timing the run.
 inline Measurement measure(const BuildResult &Prog,
-                           const RunOptions &Opts = {}) {
+                           const RunRequest &Opts = {}) {
   Measurement M;
   auto T0 = std::chrono::steady_clock::now();
   M.R = runSession(Prog, Opts).Combined;

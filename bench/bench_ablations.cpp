@@ -113,7 +113,7 @@ unsigned staticChecks(const Module &M) {
 
 /// Runs \p Spec over the loop kernels, printing static and dynamic check
 /// stats per workload. Returns a process exit code.
-int runPipelineSpec(const std::string &Spec) {
+int runSpecSweep(const std::string &Spec) {
   PipelinePlan Probe;
   std::string Err;
   if (!Probe.appendSpec(Spec, &Err)) {
@@ -264,7 +264,7 @@ int main(int argc, char **argv) {
                    "--pipeline; drop one of the flags\n");
       return 2;
     }
-    return runPipelineSpec(PipelineSpec);
+    return runSpecSweep(PipelineSpec);
   }
 
   std::printf("=== Ablations ===\n\n");
@@ -342,7 +342,7 @@ int main(int argc, char **argv) {
       Measurement MP = measure(mustBuild(W.Source, "optimize"));
 
       ObjectTableChecker OT;
-      RunOptions R;
+      RunRequest R;
       R.Checker = &OT;
       Measurement MO = measure(mustBuild(W.Source, "optimize"), R);
 

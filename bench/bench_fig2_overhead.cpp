@@ -52,16 +52,9 @@
 ///                            JSON gains non-gated `lanes` and
 ///                            `contention_*` keys (like `timings_*`).
 ///   --shards <N>             shard the metadata facility over N
-///                            address-stripe locks (rounded to a power
-///                            of two). Lookup/update results and the
+///                            address stripes (rounded to a power of
+///                            two). Lookup/update results and the
 ///                            gated counts are shard-independent.
-///   --lockfree               run the facility in the LockFreeRead
-///                            model (docs/runtime.md "Lock-free
-///                            reads"): lookups are seqlock-validated
-///                            copies with zero mutex acquisitions; the
-///                            JSON gains non-gated `lockfree` and
-///                            `contention_seqlock_*` keys. Results and
-///                            gated counts are model-independent.
 ///
 /// The simulated cost is the §5.1 checking-cost component of a run,
 /// separated from the program's own instructions:
@@ -208,8 +201,7 @@ void fillHotSites(WorkloadNumbers &Num, const Module &M,
 const char *DefaultSpec = "optimize,softbound,checkopt";
 
 void writeJson(const std::vector<WorkloadNumbers> &All, bool Profile,
-               unsigned Lanes, unsigned Shards, bool LockFree,
-               const std::string &Path) {
+               unsigned Lanes, unsigned Shards, const std::string &Path) {
   JsonWriter W;
   W.beginObject();
   W.kv("schema", "softbound-bench-fig2-v1");
@@ -218,7 +210,6 @@ void writeJson(const std::vector<WorkloadNumbers> &All, bool Profile,
   // ever reads single-lane counts.
   W.kv("lanes", static_cast<uint64_t>(Lanes));
   W.kv("shards", static_cast<uint64_t>(Shards));
-  W.kv("lockfree", LockFree);
   W.key("workloads");
   W.beginObject();
   for (const auto &N : All) {
@@ -546,7 +537,6 @@ int main(int argc, char **argv) {
   std::string JsonPath, BaselinePath, WriteBaselinePath, SummaryPath,
       TracePath;
   bool Profile = false;
-  bool LockFree = false;
   unsigned Lanes = 1, Shards = 1;
   std::set<std::string> OnlyWorkloads;
   for (int I = 1; I < argc; ++I) {
@@ -575,14 +565,12 @@ int main(int argc, char **argv) {
       Lanes = static_cast<unsigned>(std::atoi(NeedArg("--lanes")));
     else if (std::strcmp(argv[I], "--shards") == 0)
       Shards = static_cast<unsigned>(std::atoi(NeedArg("--shards")));
-    else if (std::strcmp(argv[I], "--lockfree") == 0)
-      LockFree = true;
     else {
       std::fprintf(stderr,
                    "unknown flag '%s' (flags: --json <path>, --baseline "
                    "<path>, --write-baseline <path>, --summary <path>, "
                    "--profile, --trace <path>, --workload <name>, "
-                   "--lanes <N>, --shards <N>, --lockfree)\n",
+                   "--lanes <N>, --shards <N>)\n",
                    argv[I]);
       return 2;
     }
@@ -643,7 +631,7 @@ int main(int argc, char **argv) {
     Num.Name = W.Name;
 
     BuildResult Base = mustBuild(W.Source, BuildOptions{});
-    RunOptions BaseR;
+    RunRequest BaseR;
     BaseR.Lanes = Lanes; // Same lane count as the instrumented runs, so
                          // overhead ratios compare like with like.
     Measurement MBase = measure(Base, BaseR);
@@ -659,11 +647,10 @@ int main(int argc, char **argv) {
       B.Instrument = true;
       B.SB.Mode = Configs[C].Mode;
       BuildResult Prog = mustBuild(W.Source, B);
-      RunOptions R;
+      RunRequest R;
       R.Facility = Configs[C].Facility;
       R.Lanes = Lanes;
       R.FacilityShards = Shards;
-      R.LockFreeReads = LockFree;
       Measurement M = measure(Prog, R);
       if (!M.R.ok()) {
         std::fprintf(stderr, "%s/%s failed: trap=%s msg=%s\n", W.Name.c_str(),
@@ -751,10 +738,9 @@ int main(int argc, char **argv) {
         Plan.telemetry(&Telem, Num.Name + ":");
       BuildResult Prog = mustBuild(Plan);
       SiteProfile Prof;
-      RunOptions R;
+      RunRequest R;
       R.Lanes = Lanes;
       R.FacilityShards = Shards;
-      R.LockFreeReads = LockFree;
       if (Observed) {
         R.Telem = &Telem;
         R.ProfileOut = &Prof;
@@ -826,7 +812,7 @@ int main(int argc, char **argv) {
               N);
 
   if (!JsonPath.empty())
-    writeJson(All, Profile, Lanes, Shards, LockFree, JsonPath);
+    writeJson(All, Profile, Lanes, Shards, JsonPath);
   if (!TracePath.empty()) {
     if (!Telem.writeChromeTrace(TracePath)) {
       std::fprintf(stderr, "cannot write %s\n", TracePath.c_str());

@@ -173,85 +173,75 @@ void jsonCollisionSweep(benchjson::JsonWriter &W) {
   W.endArray();
 }
 
-/// Shard-scaling under contention, A/B over read-path models: a fixed
-/// 4-thread op mix (deterministic per-thread address streams) hammers
-/// one HashTableMetadata at increasing shard counts, once with the
-/// shared-mutex Sharded model and once with LockFreeRead. With one
-/// shard every thread serializes on one lock; with more shards the
-/// address stripes spread the threads out and lock_contended collapses;
-/// under LockFreeRead the read-heavy phase acquires nothing at all and
-/// the interesting counters become seqlock_reads / seqlock_retries.
-/// Wall-clock ns/op is machine-dependent; op totals and the monotone
-/// story in lock_acquires are the stable part.
+/// Shard-scaling under contention: a fixed 4-thread op mix
+/// (deterministic per-thread address streams) hammers one Concurrent
+/// HashTableMetadata at increasing shard counts. With one shard every
+/// writer serializes on one lock; with more shards the address stripes
+/// spread the threads out and lock_contended collapses. The read-heavy
+/// phase acquires nothing at all: its counters are seqlock_reads /
+/// seqlock_retries. Wall-clock ns/op is machine-dependent; op totals and
+/// the monotone story in lock_acquires are the stable part.
 void jsonContendedSweep(benchjson::JsonWriter &W) {
   constexpr unsigned NumThreads = 4;
   constexpr uint64_t OpsPerThread = 1 << 16;
   W.key("contended_sweep");
   W.beginArray();
-  for (ConcurrencyModel Model :
-       {ConcurrencyModel::Sharded, ConcurrencyModel::LockFreeRead}) {
-    for (unsigned S : {1u, 2u, 4u, 8u}) {
-      HashTableMetadata M(16, {Model, S});
-      fill(M, 1 << 14);
-      // Update-heavy phase: exclusive acquisitions serialize on a single
-      // stripe lock in both models (the write path is identical), so this
-      // is where shard count buys real parallelism (addresses span ~1024
-      // stripes, far more than any shard count here).
-      auto T0 = std::chrono::steady_clock::now();
-      std::vector<std::thread> Threads;
-      for (unsigned T = 0; T < NumThreads; ++T)
-        Threads.emplace_back([&M, T] {
-          RNG R(101 + T); // Per-thread stream: deterministic op sequence.
-          for (uint64_t I = 0; I < OpsPerThread; ++I) {
-            uint64_t Addr = 0x2000'0000 + (R.below(1 << 22) << 3);
-            M.update(Addr, Addr, Addr + 64);
-          }
-        });
-      for (auto &T : Threads)
-        T.join();
-      double UpdateNs = nsPerOp(T0, NumThreads * OpsPerThread);
-      uint64_t WriteAcquires = M.stats().LockAcquires;
-      // Read-heavy phase: Sharded shared acquisitions never exclude each
-      // other, but with one shard every thread still bounces the same
-      // lock word; sharding spreads that coherence traffic. LockFreeRead
-      // sidesteps it entirely — zero acquisitions, seqlock-validated
-      // copies, retries only when a concurrent writer's window overlaps.
-      T0 = std::chrono::steady_clock::now();
-      Threads.clear();
-      for (unsigned T = 0; T < NumThreads; ++T)
-        Threads.emplace_back([&M, T] {
-          RNG R(211 + T);
-          for (uint64_t I = 0; I < OpsPerThread; ++I) {
-            Bounds B = M.lookup(0x2000'0000 + (R.below(1 << 22) << 3));
-            (void)B;
-          }
-        });
-      for (auto &T : Threads)
-        T.join();
-      double LookupNs = nsPerOp(T0, NumThreads * OpsPerThread);
-      MetadataStats St = M.stats();
-      W.beginObject();
-      W.kv("model", Model == ConcurrencyModel::LockFreeRead ? "lockfree_read"
-                                                            : "sharded");
-      W.kv("shards", uint64_t(M.shards()));
-      W.kv("threads", uint64_t(NumThreads));
-      // On a single-hardware-thread host the OS timeslices the workers, so
-      // neither lock_contended nor ns_per_op can show shard scaling; report
-      // the host width so consumers can tell real serialization from that.
-      W.kv("hw_threads", uint64_t(std::thread::hardware_concurrency()));
-      W.kv("ops", 2 * uint64_t(NumThreads) * OpsPerThread);
-      W.kv("update_ns_per_op", UpdateNs);
-      W.kv("lookup_ns_per_op", LookupNs);
-      W.kv("lock_acquires", St.LockAcquires);
-      // Read-phase acquisitions: the LockFreeRead criterion is that this
-      // stays zero (all acquisitions happened in the update phase).
-      W.kv("read_phase_lock_acquires", St.LockAcquires - WriteAcquires);
-      W.kv("lock_contended", St.LockContended);
-      W.kv("seqlock_reads", St.SeqlockReads);
-      W.kv("seqlock_retries", St.SeqlockRetries);
-      W.kv("contention_sim_cost", St.contentionSimCost());
-      W.endObject();
-    }
+  for (unsigned S : {1u, 2u, 4u, 8u}) {
+    HashTableMetadata M(16, {ConcurrencyModel::Concurrent, S});
+    fill(M, 1 << 14);
+    // Update-heavy phase: exclusive acquisitions serialize on a single
+    // stripe lock, so this is where shard count buys real parallelism
+    // (addresses span ~1024 stripes, far more than any shard count
+    // here).
+    auto T0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> Threads;
+    for (unsigned T = 0; T < NumThreads; ++T)
+      Threads.emplace_back([&M, T] {
+        RNG R(101 + T); // Per-thread stream: deterministic op sequence.
+        for (uint64_t I = 0; I < OpsPerThread; ++I) {
+          uint64_t Addr = 0x2000'0000 + (R.below(1 << 22) << 3);
+          M.update(Addr, Addr, Addr + 64);
+        }
+      });
+    for (auto &T : Threads)
+      T.join();
+    double UpdateNs = nsPerOp(T0, NumThreads * OpsPerThread);
+    uint64_t WriteAcquires = M.stats().LockAcquires;
+    // Read-heavy phase: zero acquisitions, seqlock-validated copies,
+    // retries only when a concurrent writer's window overlaps.
+    T0 = std::chrono::steady_clock::now();
+    Threads.clear();
+    for (unsigned T = 0; T < NumThreads; ++T)
+      Threads.emplace_back([&M, T] {
+        RNG R(211 + T);
+        for (uint64_t I = 0; I < OpsPerThread; ++I) {
+          Bounds B = M.lookup(0x2000'0000 + (R.below(1 << 22) << 3));
+          (void)B;
+        }
+      });
+    for (auto &T : Threads)
+      T.join();
+    double LookupNs = nsPerOp(T0, NumThreads * OpsPerThread);
+    MetadataStats St = M.stats();
+    W.beginObject();
+    W.kv("shards", uint64_t(M.shards()));
+    W.kv("threads", uint64_t(NumThreads));
+    // On a single-hardware-thread host the OS timeslices the workers, so
+    // neither lock_contended nor ns_per_op can show shard scaling; report
+    // the host width so consumers can tell real serialization from that.
+    W.kv("hw_threads", uint64_t(std::thread::hardware_concurrency()));
+    W.kv("ops", 2 * uint64_t(NumThreads) * OpsPerThread);
+    W.kv("update_ns_per_op", UpdateNs);
+    W.kv("lookup_ns_per_op", LookupNs);
+    W.kv("lock_acquires", St.LockAcquires);
+    // Read-phase acquisitions: the lock-free read criterion is that this
+    // stays zero (all acquisitions happened in the update phase).
+    W.kv("read_phase_lock_acquires", St.LockAcquires - WriteAcquires);
+    W.kv("lock_contended", St.LockContended);
+    W.kv("seqlock_reads", St.SeqlockReads);
+    W.kv("seqlock_retries", St.SeqlockRetries);
+    W.kv("contention_sim_cost", St.contentionSimCost());
+    W.endObject();
   }
   W.endArray();
 }

@@ -32,7 +32,6 @@
 ///   --lanes <N>           N-lane VM session over one shared heap +
 ///                         facility; detection gates hold per lane.
 ///   --shards <N>          facility shard count (power of two).
-///   --lockfree            LockFreeRead facility (seqlock read path).
 ///   --json <path>         machine-readable results, including the
 ///                         per-request metric keys (checks_per_request,
 ///                         meta_ops_per_request, sim_cost_per_request)
@@ -336,7 +335,6 @@ void printDivergence(const std::string &Server, const char *Mode,
 int main(int argc, char **argv) {
   unsigned Lanes = 1, Shards = 1, Requests = 1000;
   uint64_t Seed = 64;
-  bool LockFree = false;
   std::string JsonPath, BaselinePath, WriteBaselinePath;
   for (int I = 1; I < argc; ++I) {
     auto NeedArg = [&](const char *Flag) -> const char * {
@@ -354,8 +352,6 @@ int main(int argc, char **argv) {
       Requests = static_cast<unsigned>(std::atoi(NeedArg("--requests")));
     else if (std::strcmp(argv[I], "--seed") == 0)
       Seed = std::strtoull(NeedArg("--seed"), nullptr, 10);
-    else if (std::strcmp(argv[I], "--lockfree") == 0)
-      LockFree = true;
     else if (std::strcmp(argv[I], "--json") == 0)
       JsonPath = NeedArg("--json");
     else if (std::strcmp(argv[I], "--baseline") == 0)
@@ -365,7 +361,7 @@ int main(int argc, char **argv) {
     else {
       std::fprintf(stderr,
                    "unknown flag '%s' (flags: --requests <N>, --seed <S>, "
-                   "--lanes <N>, --shards <N>, --lockfree, --json <path>, "
+                   "--lanes <N>, --shards <N>, --json <path>, "
                    "--baseline <path>, --write-baseline <path>)\n",
                    argv[I]);
       return 2;
@@ -387,10 +383,9 @@ int main(int argc, char **argv) {
 
   std::printf("=== §6.4 servers under sustained traffic ===\n");
   std::printf("(%u requests/server, seed %llu, %u lane%s, %u facility "
-              "shard%s%s)\n\n",
+              "shard%s)\n\n",
               Requests, static_cast<unsigned long long>(Seed), Lanes,
-              Lanes == 1 ? "" : "s", Shards, Shards == 1 ? "" : "s",
-              LockFree ? ", lock-free reads" : "");
+              Lanes == 1 ? "" : "s", Shards, Shards == 1 ? "" : "s");
 
   TrafficConfig Cfg;
   Cfg.Seed = Seed;
@@ -398,10 +393,9 @@ int main(int argc, char **argv) {
   TrafficConfig BenignCfg = Cfg;
   BenignCfg.AttackPerMille = 0;
 
-  RunOptions R;
+  RunRequest R;
   R.Lanes = Lanes;
   R.FacilityShards = Shards;
-  R.LockFreeReads = LockFree;
 
   TablePrinter T({"server", "requests", "attacks", "trapped", "missed",
                   "checks/req", "meta-ops/req", "sim-cost/req",
@@ -489,7 +483,7 @@ int main(int argc, char **argv) {
   BuildOptions BS;
   BS.Instrument = true;
   BS.SB.Mode = CheckMode::StoreOnly;
-  RunOptions RV;
+  RunRequest RV;
   RV.Args = {1};
   RunResult V =
       runSession(planFromBuildOptions(httpServerSource(), BS), RV).Combined;
@@ -504,7 +498,6 @@ int main(int argc, char **argv) {
     W.kv("schema", "softbound-bench-sec64-v2");
     W.kv("lanes", static_cast<uint64_t>(Lanes));
     W.kv("shards", static_cast<uint64_t>(Shards));
-    W.kv("lockfree", LockFree);
     W.kv("requests", static_cast<uint64_t>(Requests));
     W.kv("seed", Seed);
     W.key("servers");

@@ -44,7 +44,7 @@ int main() {
     BuildOptions BM;
     BM.Instrument = true;
     BM.SB.ShrinkBounds = false;
-    RunOptions RM;
+    RunRequest RM;
     RM.Facility = FacilityKind::Hash;
     // MSCC's per-dereference check consults its linked metadata structures
     // (~8 instructions vs SoftBound's 3-instruction compare pair).

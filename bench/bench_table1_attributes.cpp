@@ -123,7 +123,7 @@ int main() { return apply(twice, 21) == 42 ? 0 : 1; }
 
   // Object-table baseline: measured sub-object miss.
   ObjectTableChecker OT;
-  RunOptions ROT;
+  RunRequest ROT;
   ROT.Checker = &OT;
   ROT.RedzonePad = 16;
   ROT.GlobalPad = 16;

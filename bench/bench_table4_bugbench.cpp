@@ -44,13 +44,13 @@ int main() {
     BuildResult Plain = mustBuild(Bug.Source, BuildOptions{});
 
     MemcheckLite MC;
-    RunOptions RMC;
+    RunRequest RMC;
     RMC.Checker = &MC;
     RMC.RedzonePad = MemcheckLite::RecommendedRedzone;
     bool Valgrind = runSession(Plain, RMC).Combined.violationDetected();
 
     ObjectTableChecker OT;
-    RunOptions ROT;
+    RunRequest ROT;
     ROT.Checker = &OT;
     ROT.RedzonePad = 16;
     ROT.GlobalPad = 16;

@@ -72,16 +72,14 @@ SessionResult softbound::runSession(const BuildResult &Prog,
   Cfg.CheckCost = Req.CheckCost;
 
   if (Prog.Instrumented) {
-    // Lanes == 1 with one shard (and no LockFreeReads) keeps the
-    // unlocked SingleThread facility — the configuration every gated
-    // baseline was recorded under. Otherwise the facility stripes its
-    // address space: LockFreeReads selects the seqlock read path,
-    // anything else the shared-mutex Sharded model.
+    // Lanes == 1 with one shard keeps the unlocked SingleThread
+    // facility — the configuration every gated baseline was recorded
+    // under. Otherwise the facility stripes its address space and runs
+    // Concurrent: exclusive stripe locks for writers, seqlock reads.
     FacilityOptions FO;
     FO.Shards = Req.FacilityShards ? Req.FacilityShards : 1;
-    FO.Model = Req.LockFreeReads ? ConcurrencyModel::LockFreeRead
-               : (Lanes > 1 || FO.Shards > 1) ? ConcurrencyModel::Sharded
-                                              : ConcurrencyModel::SingleThread;
+    FO.Model = (Lanes > 1 || FO.Shards > 1) ? ConcurrencyModel::Concurrent
+                                            : ConcurrencyModel::SingleThread;
     if (Req.Facility == FacilityKind::Shadow)
       Meta = std::make_unique<ShadowSpaceMetadata>(FO);
     else
@@ -192,20 +190,4 @@ SessionResult softbound::runSession(const PipelinePlan &Plan,
   if (!Prog.ok())
     return refuse("build failed: " + Prog.errorText());
   return runSession(Prog, Req);
-}
-
-RunResult softbound::runProgram(const BuildResult &Prog,
-                                const RunOptions &Opts) {
-  return runSession(Prog, Opts).Combined;
-}
-
-RunResult softbound::runPipeline(const PipelinePlan &Plan,
-                                 const RunOptions &Opts) {
-  return runSession(Plan, Opts).Combined;
-}
-
-RunResult softbound::compileAndRun(const std::string &Source,
-                                   const BuildOptions &BOpts,
-                                   const RunOptions &ROpts) {
-  return runSession(planFromBuildOptions(Source, BOpts), ROpts).Combined;
 }

@@ -14,15 +14,13 @@
 /// BuildOptions into the equivalent plan
 /// (frontend -> optimize -> softbound -> checkopt) and BuildResult is the
 /// plan's PipelineResult. New code should construct PipelinePlan directly;
-/// buildProgram/compileAndRun are kept indefinitely for existing call
-/// sites but gain no new knobs (see README "Pipeline API" for the
-/// deprecation policy).
+/// buildProgram is kept for existing call sites but gains no new knobs
+/// (see README "Pipeline API" for the deprecation policy).
 ///
 /// The run side follows the same shape (docs/runtime.md): runSession
 /// takes a RunRequest — facility kind, shard count, lane count, sinks —
 /// and returns a SessionResult with the lane-merged Combined view plus
-/// per-lane results. runProgram / runPipeline / compileAndRun are frozen
-/// wrappers over it.
+/// per-lane results. It is the only run entry point.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,9 +68,7 @@ BuildResult buildProgram(const std::string &Source, const BuildOptions &Opts);
 /// One run request: everything the session layer needs to execute a
 /// built program — facility choice and concurrency shape, entry point
 /// and arguments, cost knobs, observation sinks. This is the single
-/// options struct behind runSession (and, via thin wrappers, the
-/// deprecated runProgram / runPipeline / compileAndRun trio; RunOptions
-/// is a frozen alias for it).
+/// options struct behind runSession.
 struct RunRequest {
   FacilityKind Facility = FacilityKind::Shadow;
   MemoryChecker *Checker = nullptr; ///< Baseline checker (uninstrumented).
@@ -82,7 +78,7 @@ struct RunRequest {
   /// classic single-threaded sequence — byte-identical counters and
   /// cycles to every release before the session API. N > 1 runs N
   /// lanes concurrently over one shared SimMemory and one shared
-  /// metadata facility (forced to ConcurrencyModel::Sharded); each lane
+  /// metadata facility (forced to ConcurrencyModel::Concurrent); each lane
   /// executes Entry(Args) on a private 1/N slice of the stack segment.
   /// Refused (explanatory Message, Segfault trap) when combined with a
   /// baseline Checker — checkers keep single-threaded object tables.
@@ -91,19 +87,11 @@ struct RunRequest {
   /// two). The default 1 with Lanes == 1 keeps the facility in
   /// SingleThread mode — no locks, the gated-baseline fast path. Any
   /// other combination stripes the facility's address space over
-  /// power-of-two locks (ConcurrencyModel::Sharded), which adds
-  /// contention accounting but never changes lookup/update results.
+  /// power-of-two stripes (ConcurrencyModel::Concurrent: exclusive
+  /// stripe locks for writers, seqlock-validated lock-free lookups),
+  /// which adds contention accounting but never changes lookup/update
+  /// results.
   unsigned FacilityShards = 1;
-  /// Lock-free facility reads (docs/runtime.md "Lock-free reads"). When
-  /// true the facility runs in ConcurrencyModel::LockFreeRead — writers
-  /// still take the exclusive stripe lock, but lookups validate a copied
-  /// entry against the stripe's seqlock instead of acquiring anything.
-  /// Lookup/update *results* are unchanged; only the contention
-  /// accounting moves from lock counters to seqlock read/retry counters
-  /// (both priced in the non-gated contention_* group). The default
-  /// false keeps single-lane/single-shard runs in SingleThread mode,
-  /// byte-identical to the gated baselines.
-  bool LockFreeReads = false;
   /// Entry function name ("_sb_"-renamed form resolved automatically).
   /// Must be "main" (or a function with no direct call sites) when the
   /// module was built with checkopt(interproc): the whole-program
@@ -111,7 +99,7 @@ struct RunRequest {
   /// exhaustive, so entering one directly with arbitrary arguments
   /// bypasses the proofs that elided its entry checks. Enforced:
   /// checkopt(interproc) records the contract on the Module
-  /// (Module::recordInterProcContract) and runProgram refuses — with an
+  /// (Module::recordInterProcContract) and runSession refuses — with an
   /// explanatory Message — any Entry the pass's call graph considered
   /// non-externally-reachable.
   std::string Entry = "main";
@@ -132,10 +120,6 @@ struct RunRequest {
   /// attributable after the deterministic merge.
   std::string TraceTag;
 };
-
-/// Frozen alias for RunRequest: the name every pre-session call site
-/// used. \deprecated New code should say RunRequest.
-using RunOptions = RunRequest;
 
 /// Everything one session produced. Combined is the lane-merged view
 /// (counters summed, MaxFrameDepth maxed, trap taken from the first
@@ -160,30 +144,12 @@ struct SessionResult {
 /// facility for instrumented programs (sharded per \p Req), runs
 /// Req.Lanes interpreter lanes, and merges per-lane profiles and
 /// telemetry deterministically (lane-index order) into Req's sinks.
-/// This is the primary run entry point; runProgram / runPipeline /
-/// compileAndRun are thin wrappers returning .Combined.
 SessionResult runSession(const BuildResult &Prog, const RunRequest &Req = {});
 
 /// Builds \p Plan and runs the result as a session. Build errors are
 /// reported as a Combined RunResult with a Segfault trap and the error
 /// text as Message.
 SessionResult runSession(const PipelinePlan &Plan, const RunRequest &Req = {});
-
-/// Runs a built program in a fresh VM. Creates the metadata facility for
-/// instrumented programs.
-/// \deprecated Thin wrapper: runSession(Prog, Opts).Combined.
-RunResult runProgram(const BuildResult &Prog, const RunOptions &Opts = {});
-
-/// Builds \p Plan and runs the result. Build errors are reported as a
-/// RunResult with a Segfault trap and the error text as Message.
-/// \deprecated Thin wrapper: runSession(Plan, Opts).Combined.
-RunResult runPipeline(const PipelinePlan &Plan, const RunOptions &Opts = {});
-
-/// Convenience: build + run in one call.
-/// \deprecated Thin wrapper: runSession(planFromBuildOptions(...),
-/// ROpts).Combined.
-RunResult compileAndRun(const std::string &Source, const BuildOptions &BOpts,
-                        const RunOptions &ROpts = {});
 
 } // namespace softbound
 

@@ -78,9 +78,11 @@ void HashTableMetadata::flushTelemetry() {
       CopyCalls.load(std::memory_order_relaxed);
   Telem->counter(TelemetryPrefix + "/copy_entries") =
       CopyEntries.load(std::memory_order_relaxed);
-  if (Opts.Model != ConcurrencyModel::SingleThread) {
+  if (Opts.Model == ConcurrencyModel::Concurrent) {
     Telem->counter(TelemetryPrefix + "/lock_acquires") = Acquires;
     Telem->counter(TelemetryPrefix + "/lock_contended") = Contended;
+    Telem->counter(TelemetryPrefix + "/seqlock_reads") = SeqReads;
+    Telem->counter(TelemetryPrefix + "/seqlock_retries") = SeqRetries;
     for (size_t K = 0; K < Shards.size(); ++K) {
       std::string P = TelemetryPrefix + "/shard" + std::to_string(K);
       Telem->counter(P + "/live_entries") = Shards[K]->Live;
@@ -89,10 +91,6 @@ void HashTableMetadata::flushTelemetry() {
       Telem->counter(P + "/lock_contended") =
           Shards[K]->Lock.Contended.load(std::memory_order_relaxed);
     }
-  }
-  if (Opts.Model == ConcurrencyModel::LockFreeRead) {
-    Telem->counter(TelemetryPrefix + "/seqlock_reads") = SeqReads;
-    Telem->counter(TelemetryPrefix + "/seqlock_retries") = SeqRetries;
   }
 }
 
@@ -170,39 +168,16 @@ Bounds HashTableMetadata::lookupLockFree(Shard &S, uint64_t Addr) {
 Bounds HashTableMetadata::lookup(uint64_t Addr) {
   Shard &S = *Shards[shardOf(Addr)];
   S.Lookups.fetch_add(1, std::memory_order_relaxed);
-  if (Opts.Model == ConcurrencyModel::LockFreeRead)
+  if (Opts.Model == ConcurrencyModel::Concurrent)
     return lookupLockFree(S, Addr);
-  ShardSharedGuard Guard(readLockOf(S));
   if (Entry *E = find(S, Addr, /*ForInsert=*/false))
     return Bounds{ld(E->Base), ld(E->Bound)};
   return Bounds{};
 }
 
-void HashTableMetadata::lookupN(const uint64_t *Addrs, Bounds *Out, size_t N) {
-  if (Opts.Model == ConcurrencyModel::LockFreeRead) {
-    // No lock to amortize: every slot is an independent seqlock read.
-    for (size_t I = 0; I < N; ++I) {
-      Shard &S = *Shards[shardOf(Addrs[I])];
-      S.Lookups.fetch_add(1, std::memory_order_relaxed);
-      Out[I] = lookupLockFree(S, Addrs[I]);
-    }
-    return;
-  }
-  // One shared acquisition per run of same-shard addresses, not per slot.
-  size_t I = 0;
-  while (I < N) {
-    Shard &S = *Shards[shardOf(Addrs[I])];
-    ShardSharedGuard Guard(readLockOf(S));
-    do {
-      S.Lookups.fetch_add(1, std::memory_order_relaxed);
-      Entry *E = find(S, Addrs[I], /*ForInsert=*/false);
-      Out[I] = E ? Bounds{ld(E->Base), ld(E->Bound)} : Bounds{};
-      ++I;
-    } while (I < N && Shards[shardOf(Addrs[I])].get() == &S);
-  }
-}
-
-void HashTableMetadata::updateLocked(Shard &S, uint64_t Addr, Bounds B) {
+void HashTableMetadata::update(uint64_t Addr, Bounds B) {
+  Shard &S = *Shards[shardOf(Addr)];
+  ShardExclusiveGuard Guard(lockOf(S));
   S.Updates.fetch_add(1, std::memory_order_relaxed);
   SeqlockWriteScope Writing(seqOf(S));
   if (S.Used * 2 >= S.Tab.load(std::memory_order_relaxed)->Size)
@@ -217,25 +192,6 @@ void HashTableMetadata::updateLocked(Shard &S, uint64_t Addr, Bounds B) {
   }
   st(E->Base, B.Base);
   st(E->Bound, B.Bound);
-}
-
-void HashTableMetadata::update(uint64_t Addr, Bounds B) {
-  Shard &S = *Shards[shardOf(Addr)];
-  ShardExclusiveGuard Guard(lockOf(S));
-  updateLocked(S, Addr, B);
-}
-
-void HashTableMetadata::updateN(const uint64_t *Addrs, const Bounds *In,
-                                size_t N) {
-  size_t I = 0;
-  while (I < N) {
-    Shard &S = *Shards[shardOf(Addrs[I])];
-    ShardExclusiveGuard Guard(lockOf(S));
-    do {
-      updateLocked(S, Addrs[I], In[I]);
-      ++I;
-    } while (I < N && Shards[shardOf(Addrs[I])].get() == &S);
-  }
 }
 
 uint64_t HashTableMetadata::clearChunkLocked(Shard &S, uint64_t Addr,
@@ -293,12 +249,11 @@ uint64_t HashTableMetadata::copyRange(uint64_t Dst, uint64_t Src,
     bool Have = false;
     Bounds B;
     {
-      // copyRange is a write-path operation; its source read keeps the
-      // shared acquisition in both concurrent models (a shared_mutex
-      // read alongside exclusive writers), so presence-vs-null-bounds
-      // semantics stay identical across all three models.
+      // copyRange is a write-path operation: its source read takes the
+      // stripe exclusively, so presence-vs-null-bounds semantics are the
+      // same in both models.
       Shard &S = *Shards[shardOf(SA)];
-      ShardSharedGuard Guard(lockOf(S));
+      ShardExclusiveGuard Guard(lockOf(S));
       if (Entry *E = find(S, SA, /*ForInsert=*/false)) {
         B = Bounds{ld(E->Base), ld(E->Bound)};
         Have = true;
@@ -321,7 +276,7 @@ uint64_t HashTableMetadata::copyRange(uint64_t Dst, uint64_t Src,
 uint64_t HashTableMetadata::memoryBytes() const {
   uint64_t Bytes = 0;
   for (const auto &S : Shards) {
-    ShardSharedGuard Guard(lockOf(*S));
+    ShardExclusiveGuard Guard(lockOf(*S));
     Bytes += S->Tab.load(std::memory_order_relaxed)->Size * sizeof(Entry);
   }
   return Bytes;
@@ -330,7 +285,7 @@ uint64_t HashTableMetadata::memoryBytes() const {
 double HashTableMetadata::loadFactor() const {
   uint64_t Live = 0, TableEntries = 0;
   for (const auto &S : Shards) {
-    ShardSharedGuard Guard(lockOf(*S));
+    ShardExclusiveGuard Guard(lockOf(*S));
     Live += S->Live;
     TableEntries += S->Tab.load(std::memory_order_relaxed)->Size;
   }
@@ -389,10 +344,10 @@ void HashTableMetadata::reset() {
 
 void HashTableMetadata::grow(Shard &S) {
   // Build the next generation off to the side, publish it with a release
-  // store, and retire the old one. In the LockFreeRead model a reader
-  // may still be probing the retired generation, so it is kept until
+  // store, and retire the old one. In the Concurrent model a reader may
+  // still be probing the retired generation, so it is kept until
   // reset()/destruction (total retained memory is bounded by the live
-  // size — generations grow geometrically); the other models free it
+  // size — generations grow geometrically); SingleThread frees it
   // immediately.
   Table *Old = S.Tab.load(std::memory_order_relaxed);
   auto Next = std::make_unique<Table>(Old->Size * 2);
@@ -410,7 +365,7 @@ void HashTableMetadata::grow(Shard &S) {
     ++S.Live;
     ++S.Used;
   }
-  if (Opts.Model != ConcurrencyModel::LockFreeRead) {
+  if (Opts.Model == ConcurrencyModel::SingleThread) {
     // Only the freshly published generation needs to stay alive.
     std::unique_ptr<Table> Keep = std::move(S.Tables.back());
     S.Tables.clear();

@@ -13,19 +13,18 @@
 ///
 /// Sharding (facility API v2): each power-of-two address stripe
 /// (MetadataFacility.h ShardStripeLog2) owns an independent sub-table with
-/// its own striped reader-writer lock, statistics, and probe histogram.
-/// With one shard and ConcurrencyModel::SingleThread (the default) the
-/// probe sequences, collision counts and growth points are identical to
-/// the unsharded pre-v2 table.
+/// its own stripe lock, seqlock, statistics, and probe histogram. With
+/// one shard and ConcurrencyModel::SingleThread (the default) the probe
+/// sequences, collision counts and growth points are identical to the
+/// unsharded pre-v2 table.
 ///
-/// Lock-free reads (ConcurrencyModel::LockFreeRead): entry words are
-/// relaxed atomics and every shard's table generation is published
-/// through an atomic pointer, so a lookup probes with zero mutex
-/// acquisitions and validates its copied entry against the stripe's
-/// seqlock (StripeSeqlock) — writers, still under the exclusive
-/// ShardLock, bump the sequence around each mutation, and grow() retires
-/// the old generation instead of freeing it so a concurrent reader never
-/// traverses a dangling table.
+/// Concurrent model: entry words are relaxed atomics and every shard's
+/// table generation is published through an atomic pointer, so a lookup
+/// probes with zero mutex acquisitions and validates its copied entry
+/// against the stripe's seqlock (StripeSeqlock) — writers, under the
+/// exclusive ShardLock, bump the sequence around each mutation, and
+/// grow() retires the old generation instead of freeing it so a
+/// concurrent reader never traverses a dangling table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,8 +52,6 @@ public:
   const char *name() const override { return "hashtable"; }
   Bounds lookup(uint64_t Addr) override;
   void update(uint64_t Addr, Bounds B) override;
-  void lookupN(const uint64_t *Addrs, Bounds *Out, size_t N) override;
-  void updateN(const uint64_t *Addrs, const Bounds *In, size_t N) override;
   uint64_t clearRange(uint64_t Addr, uint64_t Size) override;
   uint64_t copyRange(uint64_t Dst, uint64_t Src, uint64_t Size) override;
   uint64_t lookupCost() const override { return 9; }
@@ -74,7 +71,7 @@ public:
   double loadFactor() const;
 
 private:
-  /// One table slot. The words are relaxed atomics so the LockFreeRead
+  /// One table slot. The words are relaxed atomics so the lock-free
   /// probe can race a writer without host-level undefined behaviour (the
   /// seqlock discards any torn copy); on x86/ARM a relaxed load/store is
   /// a plain move, so the SingleThread path pays nothing for this.
@@ -87,7 +84,7 @@ private:
   static constexpr uint64_t TombstoneTag = 1;
 
   /// One generation of a shard's open-addressing table. Grown
-  /// generations are immutable-from-then-on and, in the LockFreeRead
+  /// generations are immutable-from-then-on and, in the Concurrent
   /// model, retired rather than freed (a lock-free reader may still be
   /// probing them) until reset() or destruction.
   struct Table {
@@ -98,8 +95,7 @@ private:
 
   /// One address-range stripe: an independent open-addressing table plus
   /// its lock, seqlock, and statistics. Stats are relaxed atomics because
-  /// lookups (shared acquisitions or lock-free reads) bump them
-  /// concurrently.
+  /// lock-free lookups bump them concurrently.
   struct Shard {
     /// The live generation; readers acquire-load, writers publish with a
     /// release store. Ownership lives in Tables.
@@ -132,21 +128,14 @@ private:
   }
 
   /// The stripe lock writers (and aggregate readers) guard with, or null
-  /// in SingleThread mode. Both concurrent models lock the write path.
+  /// in SingleThread mode.
   const ShardLock *lockOf(const Shard &S) const {
-    return Opts.Model == ConcurrencyModel::SingleThread ? nullptr : &S.Lock;
+    return Opts.Model == ConcurrencyModel::Concurrent ? &S.Lock : nullptr;
   }
 
-  /// The stripe lock the *read* path guards with: only the Sharded model
-  /// takes it — SingleThread needs none, LockFreeRead reads through the
-  /// seqlock instead.
-  const ShardLock *readLockOf(const Shard &S) const {
-    return Opts.Model == ConcurrencyModel::Sharded ? &S.Lock : nullptr;
-  }
-
-  /// The stripe seqlock writers bump, or null outside LockFreeRead.
+  /// The stripe seqlock writers bump, or null in SingleThread mode.
   StripeSeqlock *seqOf(Shard &S) const {
-    return Opts.Model == ConcurrencyModel::LockFreeRead ? &S.Seq : nullptr;
+    return Opts.Model == ConcurrencyModel::Concurrent ? &S.Seq : nullptr;
   }
 
   /// Finds the entry for Addr in \p S, or the insertion slot; counts
@@ -156,9 +145,6 @@ private:
   /// The lock-free read path: probes the published generation and
   /// validates the copied entry against the stripe's seqlock.
   Bounds lookupLockFree(Shard &S, uint64_t Addr);
-
-  /// update() body minus locking; caller holds the shard exclusively.
-  void updateLocked(Shard &S, uint64_t Addr, Bounds B);
 
   /// Clears the slots of [Addr, Addr+Size) that fall inside one stripe;
   /// caller holds the shard exclusively. Returns entries dropped.

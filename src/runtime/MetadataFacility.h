@@ -11,24 +11,22 @@
 /// (~9 x86 instructions per lookup) and a tag-less shadow space (~5).
 ///
 /// Facility API v2 (docs/runtime.md): value-returning `Bounds lookup`,
-/// batch `lookupN`/`updateN` entry points, and an optional sharded
-/// concurrency mode — the address space is divided into power-of-two
-/// stripes, each stripe owned by one shard with its own striped
-/// reader-writer lock, so N VM lanes can share one facility. The
+/// batch `lookupN`/`updateN` entry points, and an optional concurrent
+/// mode — the address space is divided into power-of-two stripes, each
+/// stripe owned by one shard, so N VM lanes can share one facility. The
 /// default (`ConcurrencyModel::SingleThread`, one shard) takes no locks
 /// at all and is bit-for-bit identical to the pre-v2 behaviour the
 /// bench gate's baselines were recorded against.
 ///
-/// Lock-free reads (`ConcurrencyModel::LockFreeRead`): the write path is
-/// unchanged — updates and range operations still take the stripe's
-/// exclusive ShardLock — but lookups acquire no mutex at all. Each
-/// stripe carries a seqlock (StripeSeqlock): writers bump an atomic
-/// sequence odd before mutating and even after; readers copy the entry
-/// between two sequence reads and retry when the window was dirty.
-/// Structures a reader traverses are published RCU-style (hash tables
-/// retire grown generations, shadow pages install fully-initialized
-/// behind a release store), so a racing reader can observe stale — but
-/// never torn or dangling — state.
+/// The concurrent mode (`ConcurrencyModel::Concurrent`): updates and
+/// range operations take the stripe's exclusive ShardLock, and lookups
+/// acquire no mutex at all. Each stripe carries a seqlock
+/// (StripeSeqlock): writers bump an atomic sequence odd before mutating
+/// and even after; readers copy the entry between two sequence reads and
+/// retry when the window was dirty. Structures a reader traverses are
+/// published RCU-style (hash tables retire grown generations, shadow
+/// pages install fully-initialized behind a release store), so a racing
+/// reader can observe stale — but never torn or dangling — state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +36,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -68,16 +66,11 @@ enum class ConcurrencyModel {
   /// No locking anywhere; callers guarantee single-threaded access. This
   /// is the default and the mode every gated baseline runs under.
   SingleThread,
-  /// Striped reader-writer locks, one per shard: lookups take a shared
-  /// (never mutually excluding) acquisition, updates and range ops an
-  /// exclusive one. Required whenever more than one VM lane shares the
-  /// facility.
-  Sharded,
-  /// Sharded write path (updates and range ops still take the stripe's
-  /// exclusive ShardLock), but the read path is lock-free: lookups
-  /// validate a copied entry against the stripe's seqlock and retry on
-  /// a dirty window instead of acquiring any mutex.
-  LockFreeRead,
+  /// Required whenever more than one VM lane shares the facility:
+  /// updates and range ops take the stripe's exclusive ShardLock;
+  /// lookups take no lock and validate a copied entry against the
+  /// stripe's seqlock, retrying on a dirty window.
+  Concurrent,
 };
 
 /// log2 of the address-range stripe that maps to one shard: 32 KB, one
@@ -95,7 +88,7 @@ inline constexpr unsigned ShardStripeLog2 = 15;
 inline constexpr uint64_t UncontendedLockCost = 1;
 inline constexpr uint64_t ContendedLockCost = 40;
 
-/// One seqlock read retry (LockFreeRead model) is priced like a
+/// One seqlock read retry (Concurrent model) is priced like a
 /// contended lock acquisition: the reader observed a writer's dirty
 /// window, which on real hardware is the same coherence miss plus
 /// re-read. Clean seqlock reads are free — the sequence load rides the
@@ -110,16 +103,16 @@ struct FacilityOptions {
   unsigned Shards = 1;
 };
 
-/// Aggregate statistics one facility gathers over a run. In the Sharded
-/// model these are summed over shards at read time.
+/// Aggregate statistics one facility gathers over a run, summed over
+/// shards at read time.
 struct MetadataStats {
   uint64_t Lookups = 0;
   uint64_t Updates = 0;
   uint64_t Clears = 0;
   uint64_t Collisions = 0;    ///< Extra probes (hash table only).
-  uint64_t LockAcquires = 0;  ///< Striped-lock acquisitions (concurrent modes).
+  uint64_t LockAcquires = 0;  ///< Striped-lock acquisitions (Concurrent only).
   uint64_t LockContended = 0; ///< Acquisitions that found the lock held.
-  uint64_t SeqlockReads = 0;   ///< Lock-free lookups (LockFreeRead only).
+  uint64_t SeqlockReads = 0;   ///< Lock-free lookups (Concurrent only).
   uint64_t SeqlockRetries = 0; ///< Reads re-run after a dirty seqlock window.
 
   /// The contention component of the simulated cost model (priced with
@@ -133,41 +126,17 @@ struct MetadataStats {
 };
 
 /// One shard's striped lock plus its contention tallies. A null pointer
-/// passed to the guards below means "SingleThread mode": the guard
+/// passed to the guard below means "SingleThread mode": the guard
 /// degenerates to a single branch, preserving the lock-free fast path
 /// the gated baselines were measured on.
 struct ShardLock {
-  mutable std::shared_mutex Mu;
+  mutable std::mutex Mu;
   mutable std::atomic<uint64_t> Acquires{0};
   mutable std::atomic<uint64_t> Contended{0};
 };
 
-/// Reader-side guard: shared acquisition, so concurrent lookups never
-/// serialize against each other. Counts the acquisition and whether it
-/// found the stripe exclusively held.
-class ShardSharedGuard {
-public:
-  explicit ShardSharedGuard(const ShardLock *L) : L(L) {
-    if (!L)
-      return;
-    L->Acquires.fetch_add(1, std::memory_order_relaxed);
-    if (!L->Mu.try_lock_shared()) {
-      L->Contended.fetch_add(1, std::memory_order_relaxed);
-      L->Mu.lock_shared();
-    }
-  }
-  ~ShardSharedGuard() {
-    if (L)
-      L->Mu.unlock_shared();
-  }
-  ShardSharedGuard(const ShardSharedGuard &) = delete;
-  ShardSharedGuard &operator=(const ShardSharedGuard &) = delete;
-
-private:
-  const ShardLock *L;
-};
-
-/// Writer-side guard: exclusive acquisition for updates and range ops.
+/// Exclusive acquisition for updates, range ops and aggregate reads.
+/// Counts the acquisition and whether it found the stripe held.
 class ShardExclusiveGuard {
 public:
   explicit ShardExclusiveGuard(const ShardLock *L) : L(L) {
@@ -191,7 +160,7 @@ private:
 };
 
 /// One stripe's seqlock: the sequence word writers bump around every
-/// mutation in the LockFreeRead model, plus the read-side tallies behind
+/// mutation in the Concurrent model, plus the read-side tallies behind
 /// the SeqlockReads / SeqlockRetries statistics.
 ///
 /// Protocol (the classic seqlock, with the data itself held in relaxed
@@ -250,7 +219,7 @@ struct StripeSeqlock {
 };
 
 /// RAII writer window: brackets a mutation with writeBegin/writeEnd when
-/// \p SL is non-null (the LockFreeRead model); free otherwise. Callers
+/// \p SL is non-null (the Concurrent model); free otherwise. Callers
 /// hold the stripe's ShardLock exclusively for the whole window.
 class SeqlockWriteScope {
 public:
@@ -277,16 +246,14 @@ private:
 ///    addresses; pointer slots are 8-byte aligned in all workloads.
 ///  - `lookup` returns the recorded Bounds by value; the null bounds
 ///    (0, 0) on a miss. There is no out-param form.
-///  - In the Sharded model every single-slot operation is atomic with
-///    respect to other callers; range operations (`clearRange`,
+///  - In the Concurrent model every single-slot operation is atomic with
+///    respect to other callers: writers serialize on the stripe's
+///    exclusive ShardLock, and a lookup racing an update returns either
+///    the old or the new {base, bound} pair, never a mix — the seqlock
+///    retry discards any torn copy. Range operations (`clearRange`,
 ///    `copyRange`) are atomic per stripe but not across stripes — a
 ///    concurrent reader may observe a partially cleared/copied range,
 ///    which matches what a real multithreaded memcpy/free exposes.
-///  - The LockFreeRead model keeps those write-path guarantees (writers
-///    still serialize on the stripe's exclusive ShardLock) and makes the
-///    same atomicity promise for lock-free lookups: a lookup racing an
-///    update returns either the old or the new {base, bound} pair,
-///    never a mix — the seqlock retry discards any torn copy.
 ///  - `reset()` and destruction require quiescence (no concurrent
 ///    callers): they reclaim the RCU-retired structures lock-free
 ///    readers may still be traversing otherwise.
@@ -299,9 +266,8 @@ public:
 
   /// Returns the bounds recorded for the pointer stored at \p Addr;
   /// the null bounds — which fail every dereference check — when no
-  /// metadata was ever recorded. Sharded model: shared (reader)
-  /// acquisition only, so lookups scale across lanes. LockFreeRead
-  /// model: zero mutex acquisitions — a seqlock-validated copy.
+  /// metadata was ever recorded. Concurrent model: zero mutex
+  /// acquisitions — a seqlock-validated copy.
   virtual Bounds lookup(uint64_t Addr) = 0;
 
   /// Records bounds for the pointer stored at \p Addr.
@@ -313,17 +279,13 @@ public:
     update(Addr, Bounds{Base, Bound});
   }
 
-  /// Batch lookup: Out[i] = lookup(Addrs[i]). The default loops;
-  /// sharded implementations hold each stripe's lock across runs of
-  /// same-shard addresses so a batch pays one acquisition per run, not
-  /// one per slot.
+  /// Batch lookup: Out[i] = lookup(Addrs[i]).
   virtual void lookupN(const uint64_t *Addrs, Bounds *Out, size_t N) {
     for (size_t I = 0; I < N; ++I)
       Out[I] = lookup(Addrs[I]);
   }
 
-  /// Batch update: update(Addrs[i], In[i]) for each i. Same batching
-  /// contract as lookupN.
+  /// Batch update: update(Addrs[i], In[i]) for each i.
   virtual void updateN(const uint64_t *Addrs, const Bounds *In, size_t N) {
     for (size_t I = 0; I < N; ++I)
       update(Addrs[I], In[I]);

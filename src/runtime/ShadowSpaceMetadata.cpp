@@ -53,9 +53,11 @@ void ShadowSpaceMetadata::flushTelemetry() {
       CopyCalls.load(std::memory_order_relaxed);
   Telem->counter(TelemetryPrefix + "/copy_entries") =
       CopyEntries.load(std::memory_order_relaxed);
-  if (Opts.Model != ConcurrencyModel::SingleThread) {
+  if (Opts.Model == ConcurrencyModel::Concurrent) {
     Telem->counter(TelemetryPrefix + "/lock_acquires") = Acquires;
     Telem->counter(TelemetryPrefix + "/lock_contended") = Contended;
+    Telem->counter(TelemetryPrefix + "/seqlock_reads") = SeqReads;
+    Telem->counter(TelemetryPrefix + "/seqlock_retries") = SeqRetries;
     for (size_t K = 0; K < Shards.size(); ++K) {
       std::string P = TelemetryPrefix + "/shard" + std::to_string(K);
       Telem->counter(P + "/pages_materialized") = Shards[K]->PageCount;
@@ -64,10 +66,6 @@ void ShadowSpaceMetadata::flushTelemetry() {
       Telem->counter(P + "/lock_contended") =
           Shards[K]->Lock.Contended.load(std::memory_order_relaxed);
     }
-  }
-  if (Opts.Model == ConcurrencyModel::LockFreeRead) {
-    Telem->counter(TelemetryPrefix + "/seqlock_reads") = SeqReads;
-    Telem->counter(TelemetryPrefix + "/seqlock_retries") = SeqRetries;
   }
 }
 
@@ -84,11 +82,9 @@ ShadowSpaceMetadata::Pair *ShadowSpaceMetadata::findSlot(const Shard &S,
 }
 
 ShadowSpaceMetadata::Pair *
-ShadowSpaceMetadata::slotFor(Shard &S, uint64_t Addr, bool Materialize) {
+ShadowSpaceMetadata::slotFor(Shard &S, uint64_t Addr) {
   if (Pair *P = findSlot(S, Addr))
     return P;
-  if (!Materialize)
-    return nullptr;
   uint64_t Slot = Addr >> 3;
   uint64_t PageId = Slot / SlotsPerPage;
   std::atomic<PageNode *> &Head = S.Buckets[bucketOf(PageId)];
@@ -118,10 +114,9 @@ Bounds ShadowSpaceMetadata::lookupLockFree(Shard &S, uint64_t Addr) {
 Bounds ShadowSpaceMetadata::lookup(uint64_t Addr) {
   Shard &S = *Shards[shardOf(Addr)];
   S.Lookups.fetch_add(1, std::memory_order_relaxed);
-  if (Opts.Model == ConcurrencyModel::LockFreeRead)
+  if (Opts.Model == ConcurrencyModel::Concurrent)
     return lookupLockFree(S, Addr);
-  ShardSharedGuard Guard(readLockOf(S));
-  if (Pair *P = slotFor(S, Addr, /*Materialize=*/false))
+  if (Pair *P = findSlot(S, Addr))
     return Bounds{ld(P->Base), ld(P->Bound)};
   return Bounds{};
 }
@@ -131,7 +126,7 @@ void ShadowSpaceMetadata::update(uint64_t Addr, Bounds B) {
   ShardExclusiveGuard Guard(lockOf(S));
   S.Updates.fetch_add(1, std::memory_order_relaxed);
   SeqlockWriteScope Writing(seqOf(S));
-  Pair *P = slotFor(S, Addr, /*Materialize=*/true);
+  Pair *P = slotFor(S, Addr);
   st(P->Base, B.Base);
   st(P->Bound, B.Bound);
 }
@@ -150,7 +145,7 @@ uint64_t ShadowSpaceMetadata::clearRange(uint64_t Addr, uint64_t Size) {
       SeqlockWriteScope Writing(seqOf(S));
       uint64_t ChunkCleared = 0;
       for (uint64_t A2 = A; A2 < ChunkEnd; A2 += 8) {
-        Pair *P = slotFor(S, A2, /*Materialize=*/false);
+        Pair *P = findSlot(S, A2);
         if (!P || (ld(P->Base) == 0 && ld(P->Bound) == 0))
           continue;
         st(P->Base, 0);
@@ -177,12 +172,11 @@ uint64_t ShadowSpaceMetadata::copyRange(uint64_t Dst, uint64_t Src,
     bool Have = false;
     Bounds B;
     {
-      // Write-path operation: the source read keeps its shared
-      // acquisition in both concurrent models (see HashTableMetadata's
-      // copyRange for the rationale).
+      // Write-path operation: the source read takes the stripe
+      // exclusively (see HashTableMetadata's copyRange).
       Shard &S = *Shards[shardOf(A)];
-      ShardSharedGuard Guard(lockOf(S));
-      Pair *SP = slotFor(S, A, /*Materialize=*/false);
+      ShardExclusiveGuard Guard(lockOf(S));
+      Pair *SP = findSlot(S, A);
       if (SP && (ld(SP->Base) || ld(SP->Bound))) {
         B = Bounds{ld(SP->Base), ld(SP->Bound)};
         Have = true;
@@ -195,7 +189,7 @@ uint64_t ShadowSpaceMetadata::copyRange(uint64_t Dst, uint64_t Src,
       Shard &DS = *Shards[shardOf(DA)];
       ShardExclusiveGuard Guard(lockOf(DS));
       SeqlockWriteScope Writing(seqOf(DS));
-      if (Pair *DP = slotFor(DS, DA, /*Materialize=*/false)) {
+      if (Pair *DP = findSlot(DS, DA)) {
         st(DP->Base, 0);
         st(DP->Bound, 0);
       }
@@ -211,7 +205,7 @@ uint64_t ShadowSpaceMetadata::copyRange(uint64_t Dst, uint64_t Src,
 uint64_t ShadowSpaceMetadata::memoryBytes() const {
   uint64_t Bytes = 0;
   for (const auto &S : Shards) {
-    ShardSharedGuard Guard(lockOf(*S));
+    ShardExclusiveGuard Guard(lockOf(*S));
     Bytes += S->PageCount * SlotsPerPage * sizeof(Pair);
   }
   return Bytes;

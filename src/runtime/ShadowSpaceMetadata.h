@@ -16,7 +16,7 @@
 /// a page never splits across stripe locks. The default single-shard,
 /// SingleThread configuration behaves exactly like the pre-v2 space.
 ///
-/// Lock-free reads (ConcurrencyModel::LockFreeRead): pages are published
+/// Concurrent model: lookups take no lock, and pages are published
 /// RCU-style — a writer installs a fully-initialized (zero-filled) page
 /// node at the head of its bucket chain with a release store, and a
 /// reader acquire-loads the head and walks the immutable chain, so a
@@ -71,7 +71,7 @@ private:
                 "a shadow page must span exactly one shard stripe");
 
   /// One shadow slot. Relaxed atomics for the same reason as the hash
-  /// table's Entry: the LockFreeRead copy may race a writer and the
+  /// table's Entry: the lock-free copy may race a writer and the
   /// seqlock discards torn pairs; plain moves on x86/ARM otherwise.
   struct Pair {
     std::atomic<uint64_t> Base{0};
@@ -124,21 +124,14 @@ private:
   }
 
   /// The stripe lock writers (and aggregate readers) guard with, or null
-  /// in SingleThread mode. Both concurrent models lock the write path.
+  /// in SingleThread mode.
   const ShardLock *lockOf(const Shard &S) const {
-    return Opts.Model == ConcurrencyModel::SingleThread ? nullptr : &S.Lock;
+    return Opts.Model == ConcurrencyModel::Concurrent ? &S.Lock : nullptr;
   }
 
-  /// The stripe lock the *read* path guards with: only the Sharded model
-  /// takes it — SingleThread needs none, LockFreeRead reads through the
-  /// seqlock instead.
-  const ShardLock *readLockOf(const Shard &S) const {
-    return Opts.Model == ConcurrencyModel::Sharded ? &S.Lock : nullptr;
-  }
-
-  /// The stripe seqlock writers bump, or null outside LockFreeRead.
+  /// The stripe seqlock writers bump, or null in SingleThread mode.
   StripeSeqlock *seqOf(Shard &S) const {
-    return Opts.Model == ConcurrencyModel::LockFreeRead ? &S.Seq : nullptr;
+    return Opts.Model == ConcurrencyModel::Concurrent ? &S.Seq : nullptr;
   }
 
   /// Finds the page holding \p Addr's slot by walking its bucket chain.
@@ -146,9 +139,9 @@ private:
   /// chain); returns null when the page is not materialized.
   Pair *findSlot(const Shard &S, uint64_t Addr) const;
 
-  /// findSlot plus materialization; caller holds the shard exclusively
-  /// (or runs SingleThread).
-  Pair *slotFor(Shard &S, uint64_t Addr, bool Materialize);
+  /// findSlot, materializing the page on a miss; caller holds the shard
+  /// exclusively (or runs SingleThread).
+  Pair *slotFor(Shard &S, uint64_t Addr);
 
   /// The lock-free read path: seqlock-validated copy of the slot.
   Bounds lookupLockFree(Shard &S, uint64_t Addr);

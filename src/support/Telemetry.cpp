@@ -59,7 +59,8 @@ std::string Telemetry::chromeTraceJson() const {
            std::to_string(E.DurMicros) + ",\"pid\":1,\"tid\":" +
            std::to_string(E.Tid) + "}";
   }
-  Out += "],\"displayTimeUnit\":\"ms\"}\n";
+  Out += "],\"displayTimeUnit\":\"ms\",\"droppedEvents\":" +
+         std::to_string(Dropped) + "}\n";
   return Out;
 }
 

@@ -161,21 +161,28 @@ public:
   }
   const std::map<std::string, double> &timersMs() const { return TimersMs; }
 
-  /// Appends a complete trace event; drops silently past the buffer cap
-  /// (a runaway-recursion backstop, far above any real timeline).
+  /// Appends a complete trace event; past the buffer cap (a
+  /// runaway-recursion backstop, far above any real timeline) the event
+  /// is dropped and counted in droppedEvents().
   void addCompleteEvent(std::string Name, std::string Cat, int Tid,
                         uint64_t TsMicros, uint64_t DurMicros) {
-    if (Events.size() >= MaxTraceEvents)
+    if (Events.size() >= MaxTraceEvents) {
+      ++Dropped;
       return;
+    }
     Events.push_back(
         {std::move(Name), std::move(Cat), Tid, TsMicros, DurMicros});
   }
 
   const std::vector<TraceEvent> &traceEvents() const { return Events; }
 
+  /// Trace events lost to the buffer cap, here or in any merged sink.
+  uint64_t droppedEvents() const { return Dropped; }
+
   /// The trace buffer as Chrome trace-event JSON
   /// (https://chromium.googlesource.com — loads in chrome://tracing and
-  /// Perfetto): {"traceEvents": [{name, cat, ph:"X", ts, dur, pid, tid}]}.
+  /// Perfetto): {"traceEvents": [{name, cat, ph:"X", ts, dur, pid, tid}],
+  /// "droppedEvents": N}.
   std::string chromeTraceJson() const;
 
   /// Writes chromeTraceJson() to \p Path; false on I/O failure.
@@ -183,9 +190,10 @@ public:
 
   /// Folds \p O into this registry: counters and timers add, histograms
   /// merge sample-wise, trace events append in \p O's order (up to the
-  /// buffer cap). Multi-lane sessions give every lane a private sink and
-  /// merge them in lane-index order at join, so the combined registry is
-  /// deterministic whenever each lane's recording is.
+  /// buffer cap; the rest, plus \p O's own drops, count as dropped).
+  /// Multi-lane sessions give every lane a private sink and merge them in
+  /// lane-index order at join, so the combined registry is deterministic
+  /// whenever each lane's recording is.
   void mergeFrom(const Telemetry &O) {
     for (const auto &[Path, V] : O.Counters)
       Counters[Path] += V;
@@ -195,9 +203,11 @@ public:
       TimersMs[Path] += Ms;
     for (const auto &E : O.Events) {
       if (Events.size() >= MaxTraceEvents)
-        break;
-      Events.push_back(E);
+        ++Dropped;
+      else
+        Events.push_back(E);
     }
+    Dropped += O.Dropped;
   }
 
   void clear() {
@@ -205,15 +215,18 @@ public:
     Histograms.clear();
     TimersMs.clear();
     Events.clear();
+    Dropped = 0;
   }
 
-private:
+  /// Trace buffer cap; events past it are counted, not stored.
   static constexpr size_t MaxTraceEvents = 1 << 16;
 
+private:
   std::map<std::string, uint64_t> Counters;
   std::map<std::string, TelemetryHistogram> Histograms;
   std::map<std::string, double> TimersMs;
   std::vector<TraceEvent> Events;
+  uint64_t Dropped = 0;
 };
 
 /// RAII wall-clock timer accumulating into Telemetry::timerMs. Null sink

@@ -229,7 +229,7 @@ public:
   /// segment (byte-identical to run()); N > 1 lanes each get a
   /// 16-aligned 1/N slice of the stack and run on their own host
   /// threads with SimMemory in concurrent mode. Multi-lane callers must
-  /// use a Sharded metadata facility and no baseline Checker (checkers
+  /// use a Concurrent metadata facility and no baseline Checker (checkers
   /// keep single-threaded object tables) — the session layer enforces
   /// this.
   std::vector<RunResult> runLanes(const std::vector<LaneSpec> &Lanes);

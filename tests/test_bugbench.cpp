@@ -30,7 +30,7 @@ namespace {
 
 bool detectedByMemcheck(const std::string &Src) {
   MemcheckLite Checker;
-  RunOptions R;
+  RunRequest R;
   R.Checker = &Checker;
   R.RedzonePad = MemcheckLite::RecommendedRedzone;
   return runSession(planFromBuildOptions(Src, BuildOptions{}), R)
@@ -41,7 +41,7 @@ bool detectedByObjTable(const std::string &Src) {
   // Mudflap-style deployments pad tracked objects with guard zones so
   // off-by-one overflows into a neighbour are distinguishable.
   ObjectTableChecker Checker;
-  RunOptions R;
+  RunRequest R;
   R.Checker = &Checker;
   R.RedzonePad = 16;
   R.GlobalPad = 16;
@@ -97,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(AllBugs, BugBenchMatrix, ::testing::Range(0, 4),
 //===----------------------------------------------------------------------===//
 
 TEST(Servers, HttpTransformsWithNoFalsePositives) {
-  RunOptions Plain;
+  RunRequest Plain;
   Plain.Args = {0};
   RunResult Base =
       runSession(planFromBuildOptions(httpServerSource(), BuildOptions{}),
@@ -120,7 +120,7 @@ TEST(Servers, HttpTransformsWithNoFalsePositives) {
 }
 
 TEST(Servers, HttpVulnerableModeCaught) {
-  RunOptions Vuln;
+  RunRequest Vuln;
   Vuln.Args = {1};
   // Without protection: the long query overruns query[32] into path[],
   // silently corrupting the response (no crash).

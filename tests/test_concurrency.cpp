@@ -7,30 +7,33 @@
 /// \file
 /// Facility API v2 concurrency coverage (docs/runtime.md):
 ///
-///  - range operations on a Sharded facility agree with a SingleThread
-///    oracle even when the range spans several 2^ShardStripeLog2-byte
-///    stripes (clearRange / copyRange chunk per stripe);
+///  - range operations on a Concurrent, sharded facility agree with a
+///    SingleThread oracle even when the range spans several
+///    2^ShardStripeLog2-byte stripes (clearRange / copyRange chunk per
+///    stripe);
 ///  - a multi-threaded update/lookup hammer loses no slots and the
-///    per-shard statistics add up, including lock-acquire counts;
+///    per-shard statistics add up: one lock acquisition per update, one
+///    seqlock read per lookup;
 ///  - a 4-lane runSession over the full Table 3 attack suite and the
-///    Table 4 BugBench kernels misses nothing in any lane;
-///  - a 1-lane session is counter-identical to the classic runProgram
+///    Table 4 BugBench kernels misses nothing in any lane, with every
+///    lookup on the seqlock read path;
+///  - a 1-lane session is counter-identical to a hand-built VM run, the
 ///    path the gated baselines were recorded against;
 ///  - multi-lane sessions surface contention accounting and merge lane
 ///    outputs deterministically;
-///  - the LockFreeRead model (docs/runtime.md "Lock-free reads"): a
+///  - lock-free lookups (docs/runtime.md "Lock-free reads"): a
 ///    writer-hammer seqlock stress where lookups racing updates must
 ///    return the old pair or the new pair, never a mix; read-only
 ///    hammers whose lock-acquire counter stays flat (zero mutex
-///    acquisitions on the read path); seqlock read/retry accounting and
-///    its contentionSimCost() pricing; and the 4-lane attack + BugBench
-///    sweeps repeated under LockFreeRead with zero missed detections.
+///    acquisitions on the read path); and seqlock read/retry accounting
+///    and its contentionSimCost() pricing.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
 #include "runtime/HashTableMetadata.h"
 #include "runtime/ShadowSpaceMetadata.h"
+#include "vm/VM.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -51,10 +54,11 @@ constexpr uint64_t Stripe = 1ULL << ShardStripeLog2;
 //===----------------------------------------------------------------------===//
 
 TEST(ShardedRangeOps, ClearRangeSpanningStripesMatchesOracle) {
-  ShadowSpaceMetadata Sharded(FacilityOptions{ConcurrencyModel::Sharded, 4});
+  ShadowSpaceMetadata Sharded(
+      FacilityOptions{ConcurrencyModel::Concurrent, 4});
   ShadowSpaceMetadata Oracle;
   ASSERT_EQ(Sharded.shards(), 4u);
-  ASSERT_EQ(Sharded.concurrency(), ConcurrencyModel::Sharded);
+  ASSERT_EQ(Sharded.concurrency(), ConcurrencyModel::Concurrent);
   ASSERT_EQ(Oracle.concurrency(), ConcurrencyModel::SingleThread);
 
   // Populate five stripes' worth of slots, every other slot, so the
@@ -82,7 +86,8 @@ TEST(ShardedRangeOps, ClearRangeSpanningStripesMatchesOracle) {
 }
 
 TEST(ShardedRangeOps, CopyRangeSpanningStripesMatchesOracle) {
-  HashTableMetadata Sharded(16, FacilityOptions{ConcurrencyModel::Sharded, 8});
+  HashTableMetadata Sharded(16,
+                            FacilityOptions{ConcurrencyModel::Concurrent, 8});
   HashTableMetadata Oracle;
   ASSERT_EQ(Sharded.shards(), 8u);
 
@@ -111,7 +116,8 @@ TEST(ShardedRangeOps, CopyRangeSpanningStripesMatchesOracle) {
 }
 
 TEST(ShardedRangeOps, BatchOpsCrossStripesLikeScalars) {
-  ShadowSpaceMetadata Sharded(FacilityOptions{ConcurrencyModel::Sharded, 4});
+  ShadowSpaceMetadata Sharded(
+      FacilityOptions{ConcurrencyModel::Concurrent, 4});
   ShadowSpaceMetadata Oracle;
 
   // One batch whose addresses hop stripes (and wrap shard indices) on
@@ -140,7 +146,7 @@ TEST(ShardedRangeOps, BatchOpsCrossStripesLikeScalars) {
 //===----------------------------------------------------------------------===//
 
 TEST(ShardedConcurrency, ParallelHammerLosesNoSlotsAndCountsLocks) {
-  HashTableMetadata M(16, FacilityOptions{ConcurrencyModel::Sharded, 8});
+  HashTableMetadata M(16, FacilityOptions{ConcurrencyModel::Concurrent, 8});
   constexpr unsigned Threads = 8;
   constexpr uint64_t SlotsPerThread = 4096;
   constexpr uint64_t Base = 0x6000'0000;
@@ -166,9 +172,10 @@ TEST(ShardedConcurrency, ParallelHammerLosesNoSlotsAndCountsLocks) {
   MetadataStats St = M.stats();
   EXPECT_EQ(St.Updates, uint64_t(Threads) * SlotsPerThread);
   EXPECT_EQ(St.Lookups, uint64_t(Threads) * SlotsPerThread);
-  // Every single-slot operation takes exactly one striped-lock
-  // acquisition in the Sharded model.
-  EXPECT_EQ(St.LockAcquires, 2 * uint64_t(Threads) * SlotsPerThread);
+  // Every update takes exactly one stripe-lock acquisition; every lookup
+  // is one seqlock read and takes none.
+  EXPECT_EQ(St.LockAcquires, St.Updates);
+  EXPECT_EQ(St.SeqlockReads, St.Lookups);
   EXPECT_GE(St.contentionSimCost(), St.LockAcquires);
 
   for (unsigned T = 0; T < Threads; ++T)
@@ -203,6 +210,8 @@ TEST(MultiLaneSessions, FourLaneAttackSweepMissesNothing) {
       EXPECT_FALSE(R.attackLanded()) << A.Name << " lane " << L;
     }
     EXPECT_TRUE(S.Combined.violationDetected()) << A.Name;
+    // Every facility lookup went through the seqlock read path.
+    EXPECT_EQ(S.Meta.SeqlockReads, S.Meta.Lookups) << A.Name;
   }
 }
 
@@ -225,6 +234,7 @@ TEST(MultiLaneSessions, FourLaneBugBenchSweepMissesNothing) {
       EXPECT_TRUE(S.PerLane[L].violationDetected())
           << Bug.Name << " lane " << L << ": trap="
           << trapName(S.PerLane[L].Trap);
+    EXPECT_EQ(S.Meta.SeqlockReads, S.Meta.Lookups) << Bug.Name;
   }
 }
 
@@ -232,7 +242,7 @@ TEST(MultiLaneSessions, FourLaneBugBenchSweepMissesNothing) {
 // Single-lane sessions reproduce the classic (gated) execution exactly
 //===----------------------------------------------------------------------===//
 
-TEST(SessionDeterminism, SingleLaneMatchesLegacyRunProgram) {
+TEST(SessionDeterminism, SingleLaneMatchesHandBuiltVM) {
   for (const Workload &W : benchmarkSuite()) {
     BuildOptions B;
     B.Instrument = true;
@@ -240,18 +250,25 @@ TEST(SessionDeterminism, SingleLaneMatchesLegacyRunProgram) {
     BuildResult Prog = buildProgram(W.Source, B);
     ASSERT_TRUE(Prog.ok()) << W.Name << ": " << Prog.errorText();
 
-    RunResult Legacy = runProgram(Prog);
+    // The classic single-threaded run, configured by hand: an unsharded
+    // SingleThread shadow space and full wrappers.
+    ShadowSpaceMetadata Meta;
+    VMConfig Cfg;
+    Cfg.Meta = &Meta;
+    Cfg.Instrumented = true;
+    Cfg.Wrappers = WrapperMode::Full;
+    RunResult ByHand = VM(*Prog.M, Cfg).run("main", {});
     SessionResult S = runSession(Prog);
     ASSERT_EQ(S.PerLane.size(), 1u) << W.Name;
 
-    EXPECT_EQ(S.Combined.Counters.Checks, Legacy.Counters.Checks) << W.Name;
-    EXPECT_EQ(S.Combined.Counters.MetaLoads, Legacy.Counters.MetaLoads)
+    EXPECT_EQ(S.Combined.Counters.Checks, ByHand.Counters.Checks) << W.Name;
+    EXPECT_EQ(S.Combined.Counters.MetaLoads, ByHand.Counters.MetaLoads)
         << W.Name;
-    EXPECT_EQ(S.Combined.Counters.MetaStores, Legacy.Counters.MetaStores)
+    EXPECT_EQ(S.Combined.Counters.MetaStores, ByHand.Counters.MetaStores)
         << W.Name;
-    EXPECT_EQ(S.Combined.Counters.Cycles, Legacy.Counters.Cycles) << W.Name;
-    EXPECT_EQ(S.Combined.Output, Legacy.Output) << W.Name;
-    EXPECT_EQ(S.Combined.ExitCode, Legacy.ExitCode) << W.Name;
+    EXPECT_EQ(S.Combined.Counters.Cycles, ByHand.Counters.Cycles) << W.Name;
+    EXPECT_EQ(S.Combined.Output, ByHand.Output) << W.Name;
+    EXPECT_EQ(S.Combined.ExitCode, ByHand.ExitCode) << W.Name;
     // Default request: SingleThread facility, so zero lock traffic.
     EXPECT_EQ(S.Meta.LockAcquires, 0u) << W.Name;
   }
@@ -307,14 +324,16 @@ TEST(MultiLaneSessions, ContentionCountersAndDeterministicMerge) {
   EXPECT_EQ(S.Combined.Counters.MetaStores, 4 * Single.Counters.MetaStores);
   EXPECT_EQ(S.Combined.ExitCode, Single.ExitCode);
 
-  // Sharded model: every metadata operation takes a striped lock, so
-  // the session-level facility stats must show lock traffic.
+  // Concurrent model: every metadata write takes a stripe lock and
+  // every lookup is a seqlock read, so the session-level facility stats
+  // must show both.
   EXPECT_GT(S.Meta.LockAcquires, 0u);
   EXPECT_GT(S.Meta.contentionSimCost(), 0u);
+  EXPECT_EQ(S.Meta.SeqlockReads, S.Meta.Lookups);
 }
 
 //===----------------------------------------------------------------------===//
-// LockFreeRead: seqlock stress, retry accounting, end-to-end sweeps
+// Lock-free lookups: seqlock stress and retry accounting
 //===----------------------------------------------------------------------===//
 
 /// Writer-hammer seqlock stress over one facility: a writer flips a
@@ -325,8 +344,8 @@ TEST(MultiLaneSessions, ContentionCountersAndDeterministicMerge) {
 /// seqlock exists to discard.
 template <typename Facility, typename... CtorArgs>
 void writerHammerNeverTearsPairs(CtorArgs... Args) {
-  Facility M(Args..., FacilityOptions{ConcurrencyModel::LockFreeRead, 4});
-  ASSERT_EQ(M.concurrency(), ConcurrencyModel::LockFreeRead);
+  Facility M(Args..., FacilityOptions{ConcurrencyModel::Concurrent, 4});
+  ASSERT_EQ(M.concurrency(), ConcurrencyModel::Concurrent);
   constexpr uint64_t Base = 0x9000'0000;
   constexpr uint64_t NumSlots = 64; // Spread over all four stripes.
   const Bounds PairA{0x1111'1111'1111'1110ULL, 0x1111'1111'1111'1111ULL};
@@ -372,19 +391,19 @@ void writerHammerNeverTearsPairs(CtorArgs... Args) {
   EXPECT_EQ(St.SeqlockReads, uint64_t(Readers) * ReadsPerThread);
 }
 
-TEST(LockFreeRead, HashWriterHammerNeverTearsPairs) {
+TEST(LockFreeLookup, HashWriterHammerNeverTearsPairs) {
   writerHammerNeverTearsPairs<HashTableMetadata>(/*InitialLog2Size=*/8);
 }
 
-TEST(LockFreeRead, ShadowWriterHammerNeverTearsPairs) {
+TEST(LockFreeLookup, ShadowWriterHammerNeverTearsPairs) {
   writerHammerNeverTearsPairs<ShadowSpaceMetadata>();
 }
 
-TEST(LockFreeRead, ReadOnlyHammerAcquiresNoLocks) {
+TEST(LockFreeLookup, ReadOnlyHammerAcquiresNoLocks) {
   // The acceptance criterion for the lock-free read path: across a
   // multi-threaded read-only hammer the lock-acquire counter stays
   // exactly flat — every acquisition happened during the write phase.
-  HashTableMetadata M(16, FacilityOptions{ConcurrencyModel::LockFreeRead, 4});
+  HashTableMetadata M(16, FacilityOptions{ConcurrencyModel::Concurrent, 4});
   constexpr uint64_t Slots = 1 << 12;
   for (uint64_t I = 0; I < Slots; ++I) {
     uint64_t A = 0x3000'0000 + I * 8;
@@ -416,7 +435,7 @@ TEST(LockFreeRead, ReadOnlyHammerAcquiresNoLocks) {
   EXPECT_EQ(St.SeqlockRetries, 0u);
 }
 
-TEST(LockFreeRead, RetryAccountingPricesLikeContendedAcquisition) {
+TEST(LockFreeLookup, RetryAccountingPricesLikeContendedAcquisition) {
   // The pricing identity behind the non-gated contention_* keys: clean
   // seqlock reads are free, each retry costs one contended acquisition.
   MetadataStats St;
@@ -429,10 +448,10 @@ TEST(LockFreeRead, RetryAccountingPricesLikeContendedAcquisition) {
                                         5 * SeqlockRetryCost);
   EXPECT_EQ(SeqlockRetryCost, ContendedLockCost);
 
-  // Live accounting: a single-threaded LockFreeRead facility counts one
+  // Live accounting: a single-threaded Concurrent facility counts one
   // seqlock read per lookup and never retries, and its sim cost is the
   // write-phase acquisitions plus nothing for the clean reads.
-  ShadowSpaceMetadata M(FacilityOptions{ConcurrencyModel::LockFreeRead, 1});
+  ShadowSpaceMetadata M(FacilityOptions{ConcurrencyModel::Concurrent, 1});
   for (uint64_t I = 0; I < 256; ++I)
     M.update(0x1000 + I * 8, I, I + 8);
   for (uint64_t I = 0; I < 512; ++I)
@@ -446,12 +465,12 @@ TEST(LockFreeRead, RetryAccountingPricesLikeContendedAcquisition) {
                 Live.LockContended * ContendedLockCost);
 }
 
-/// Deterministic single-threaded mixed-op equivalence: LockFreeRead must
-/// be a pure read-path optimization — every lookup/update/range result
-/// identical to the SingleThread oracle.
+/// Deterministic single-threaded mixed-op equivalence: the Concurrent
+/// model changes synchronization only — every lookup/update/range
+/// result identical to the SingleThread oracle.
 template <typename Facility, typename... CtorArgs>
 void lockFreeMatchesOracle(CtorArgs... Args) {
-  Facility M(Args..., FacilityOptions{ConcurrencyModel::LockFreeRead, 4});
+  Facility M(Args..., FacilityOptions{ConcurrencyModel::Concurrent, 4});
   Facility Oracle(Args..., FacilityOptions{});
   const uint64_t Lo = 0x8000'0000;
   for (uint64_t I = 0; I < 2048; ++I) {
@@ -470,61 +489,12 @@ void lockFreeMatchesOracle(CtorArgs... Args) {
   EXPECT_EQ(Oracle.stats().SeqlockReads, 0u);
 }
 
-TEST(LockFreeRead, HashMixedOpsMatchOracle) {
+TEST(LockFreeLookup, HashMixedOpsMatchOracle) {
   lockFreeMatchesOracle<HashTableMetadata>(/*InitialLog2Size=*/8);
 }
 
-TEST(LockFreeRead, ShadowMixedOpsMatchOracle) {
+TEST(LockFreeLookup, ShadowMixedOpsMatchOracle) {
   lockFreeMatchesOracle<ShadowSpaceMetadata>();
-}
-
-TEST(LockFreeRead, FourLaneAttackSweepMissesNothing) {
-  for (const AttackCase &A : attackSuite()) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = CheckMode::Full;
-    BuildResult Prog = buildProgram(A.Source, B);
-    ASSERT_TRUE(Prog.ok()) << A.Name << ": " << Prog.errorText();
-
-    RunRequest Req;
-    Req.Lanes = 4;
-    Req.FacilityShards = 4;
-    Req.LockFreeReads = true;
-    SessionResult S = runSession(Prog, Req);
-    ASSERT_EQ(S.PerLane.size(), 4u) << A.Name;
-    for (size_t L = 0; L < S.PerLane.size(); ++L) {
-      const RunResult &R = S.PerLane[L];
-      EXPECT_TRUE(R.violationDetected())
-          << A.Name << " lane " << L << ": trap=" << trapName(R.Trap)
-          << " exit=" << R.ExitCode << " msg=" << R.Message;
-      EXPECT_FALSE(R.attackLanded()) << A.Name << " lane " << L;
-    }
-    EXPECT_TRUE(S.Combined.violationDetected()) << A.Name;
-    // Every facility lookup went through the seqlock read path.
-    EXPECT_EQ(S.Meta.SeqlockReads, S.Meta.Lookups) << A.Name;
-  }
-}
-
-TEST(LockFreeRead, FourLaneBugBenchSweepMissesNothing) {
-  for (const BugCase &Bug : bugbenchSuite()) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = CheckMode::Full;
-    BuildResult Prog = buildProgram(Bug.Source, B);
-    ASSERT_TRUE(Prog.ok()) << Bug.Name << ": " << Prog.errorText();
-
-    RunRequest Req;
-    Req.Lanes = 4;
-    Req.FacilityShards = 4;
-    Req.LockFreeReads = true;
-    SessionResult S = runSession(Prog, Req);
-    ASSERT_EQ(S.PerLane.size(), 4u) << Bug.Name;
-    for (size_t L = 0; L < S.PerLane.size(); ++L)
-      EXPECT_TRUE(S.PerLane[L].violationDetected())
-          << Bug.Name << " lane " << L
-          << ": trap=" << trapName(S.PerLane[L].Trap);
-    EXPECT_EQ(S.Meta.SeqlockReads, S.Meta.Lookups) << Bug.Name;
-  }
 }
 
 } // namespace

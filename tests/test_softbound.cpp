@@ -31,7 +31,7 @@ RunResult runSB(const std::string &Src, CheckMode Mode,
   BuildOptions B;
   B.Instrument = true;
   B.SB.Mode = Mode;
-  RunOptions R;
+  RunRequest R;
   R.Facility = Facility;
   R.Args = std::move(Args);
   RunResult Out = runSession(planFromBuildOptions(Src, B), R).Combined;
@@ -40,7 +40,7 @@ RunResult runSB(const std::string &Src, CheckMode Mode,
 }
 
 RunResult runPlain(const std::string &Src, std::vector<int64_t> Args = {}) {
-  RunOptions R;
+  RunRequest R;
   R.Args = std::move(Args);
   return runSession(planFromBuildOptions(Src, BuildOptions{}), R).Combined;
 }
@@ -174,7 +174,7 @@ TEST(SoftBoundDetect, GlobalArrayOverflow) {
   B.SB.Mode = CheckMode::Full;
   BuildResult Prog = buildProgram(Src, B);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
-  RunOptions R;
+  RunRequest R;
   R.Args = {16};
   EXPECT_TRUE(runSession(Prog, R).Combined.ok());
   R.Args = {17};

@@ -9,7 +9,8 @@
 /// edges, the zero-cost disabled mode (attaching telemetry must not
 /// change a single deterministic counter), per-site profile determinism
 /// and site-ID stability across builds, the facility probe-length
-/// histogram on a crafted collision set, and the Chrome-trace export.
+/// histogram on a crafted collision set, and the Chrome-trace export
+/// with its dropped-event count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -123,7 +124,7 @@ TEST(Telemetry, DisabledModeIsObservationFree) {
   Telemetry Telem;
   SiteProfile Prof;
   BuildResult Observed = buildInstrumented(&Telem);
-  RunOptions Opts;
+  RunRequest Opts;
   Opts.Telem = &Telem;
   Opts.ProfileOut = &Prof;
   Opts.TraceTag = "test:";
@@ -185,7 +186,7 @@ TEST(Telemetry, SiteProfilesAreIdenticalAcrossRuns) {
   BuildResult Prog = buildInstrumented();
   auto RunProfiled = [&] {
     SiteProfile P;
-    RunOptions Opts;
+    RunRequest Opts;
     Opts.ProfileOut = &P;
     RunResult R = runSession(Prog, Opts).Combined;
     EXPECT_TRUE(R.ok()) << R.Message;
@@ -264,7 +265,7 @@ TEST(Telemetry, ChromeTraceJsonIsWellFormed) {
   Telemetry Telem;
   SiteProfile Prof;
   BuildResult Prog = buildInstrumented(&Telem);
-  RunOptions Opts;
+  RunRequest Opts;
   Opts.Telem = &Telem;
   Opts.ProfileOut = &Prof;
   Opts.TraceTag = "test:";
@@ -304,6 +305,33 @@ TEST(Telemetry, ChromeTraceJsonIsWellFormed) {
   }
   EXPECT_TRUE(SawPipeline);
   EXPECT_TRUE(SawVM);
+  ASSERT_NE(Doc.get("droppedEvents"), nullptr);
+  EXPECT_EQ(Doc.get("droppedEvents")->asInt(), 0);
+}
+
+TEST(Telemetry, TraceBufferCountsDroppedEvents) {
+  // Overfill one sink by 10: the buffer holds exactly the cap and counts
+  // the rest.
+  Telemetry Full;
+  for (size_t I = 0; I < Telemetry::MaxTraceEvents + 10; ++I)
+    Full.addCompleteEvent("e", "vm", Telemetry::TidVM, I, 1);
+  EXPECT_EQ(Full.traceEvents().size(), Telemetry::MaxTraceEvents);
+  EXPECT_EQ(Full.droppedEvents(), 10u);
+
+  // Merge it into a sink that already holds 3 events: 3 of the merged
+  // events no longer fit, and the merged sink's own 10 drops carry over.
+  Telemetry Merged;
+  for (unsigned I = 0; I < 3; ++I)
+    Merged.addCompleteEvent("own", "pipeline", Telemetry::TidPipeline, I, 1);
+  Merged.mergeFrom(Full);
+  EXPECT_EQ(Merged.traceEvents().size(), Telemetry::MaxTraceEvents);
+  EXPECT_EQ(Merged.traceEvents().front().Name, "own");
+  EXPECT_EQ(Merged.droppedEvents(), 13u);
+  EXPECT_NE(Merged.chromeTraceJson().find("\"droppedEvents\":13}"),
+            std::string::npos);
+
+  Merged.clear();
+  EXPECT_EQ(Merged.droppedEvents(), 0u);
 }
 
 } // namespace

@@ -11,7 +11,7 @@
 ///    and re-running the generated driver reproduces the per-request
 ///    counter stream exactly;
 ///  - zero missed detections when attack payloads arrive mid-stream, at
-///    1/2/4 lanes, sharded and lock-free;
+///    1/2/4 lanes;
 ///  - post-trap isolation: a contained violation leaves every later
 ///    request's counters identical to a trap-free run of the same
 ///    suffix;
@@ -19,13 +19,14 @@
 ///    same request list (per-request gate metrics, checkopt disabled so
 ///    loop hoisting cannot smear preheader work across windows);
 ///  - the write-heavy seqlock path under connection churn: retries are
-///    live in the protocol, reads ride the seqlock, and the read phase
-///    acquires zero locks under LockFreeRead with concurrent lanes.
+///    live in the protocol, reads ride the seqlock, and lookups acquire
+///    zero locks, alone and with concurrent lanes.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
 #include "runtime/ShadowSpaceMetadata.h"
+#include "vm/VM.h"
 #include "workloads/Traffic.h"
 #include "workloads/Workloads.h"
 
@@ -56,12 +57,10 @@ BuildResult buildTraffic(const std::string &Src, CheckMode Mode,
   return buildProgram(Src, B);
 }
 
-RunRequest sessionReq(unsigned Lanes, unsigned Shards = 1,
-                      bool LockFree = false) {
+RunRequest sessionReq(unsigned Lanes, unsigned Shards = 1) {
   RunRequest R;
   R.Lanes = Lanes;
   R.FacilityShards = Shards;
-  R.LockFreeReads = LockFree;
   return R;
 }
 
@@ -139,16 +138,14 @@ TEST(TrafficSchedule, DriverRunsAreCounterIdentical) {
 TEST(TrafficDetection, ZeroMissedAtEveryLaneCount) {
   struct LaneSetup {
     unsigned Lanes, Shards;
-    bool LockFree;
-  } Setups[] = {{1, 1, false}, {2, 4, false}, {4, 4, false}, {4, 4, true}};
+  } Setups[] = {{1, 1}, {2, 4}, {4, 4}};
   for (ServerKind K : BothServers) {
     TrafficSchedule S = TrafficSchedule::generate(K, smallConfig(160, 80));
     ASSERT_GT(S.adversarialCount(), 0u);
     for (CheckMode Mode : {CheckMode::Full, CheckMode::StoreOnly}) {
       BuildResult Prog = buildTraffic(S.driverSource(true), Mode);
       for (const LaneSetup &L : Setups) {
-        SessionResult R =
-            runSession(Prog, sessionReq(L.Lanes, L.Shards, L.LockFree));
+        SessionResult R = runSession(Prog, sessionReq(L.Lanes, L.Shards));
         // Every violation is contained inside its request window: the
         // session itself must finish trap-free in every lane.
         ASSERT_TRUE(R.ok()) << serverKindName(K) << " lanes=" << L.Lanes
@@ -284,8 +281,27 @@ TEST(TrafficTotals, OneLaneTotalsEqualSumOfSingleShots) {
 }
 
 //===----------------------------------------------------------------------===//
-// Write-heavy seqlock path under traffic (satellite: LockFreeRead)
+// Write-heavy seqlock path under traffic
 //===----------------------------------------------------------------------===//
+
+/// A Concurrent shadow space that tallies the stripe-lock acquisitions
+/// made inside lookup() calls; the lock-free read path keeps the tally at
+/// zero. Only meaningful single-threaded: another thread's writes would
+/// land in the window.
+class LookupLockProbe : public ShadowSpaceMetadata {
+public:
+  LookupLockProbe()
+      : ShadowSpaceMetadata(FacilityOptions{ConcurrencyModel::Concurrent, 4}) {}
+
+  Bounds lookup(uint64_t Addr) override {
+    uint64_t Before = stats().LockAcquires;
+    Bounds B = ShadowSpaceMetadata::lookup(Addr);
+    LookupAcquires += stats().LockAcquires - Before;
+    return B;
+  }
+
+  uint64_t LookupAcquires = 0;
+};
 
 TEST(TrafficSeqlock, RetryProtocolIsLive) {
   StripeSeqlock SL;
@@ -309,31 +325,28 @@ TEST(TrafficSeqlock, ReadPhaseAcquiresNoLocksUnderChurnTraffic) {
   TrafficSchedule S = TrafficSchedule::generate(ServerKind::Ftp, C);
   BuildResult Prog = buildTraffic(S.driverSource(true), CheckMode::Full);
 
-  // Deterministic 1-lane A/B: the only difference between Sharded and
-  // LockFreeRead lock-acquire counts must be exactly the lookups —
-  // i.e. the read phase acquires zero locks under LockFreeRead.
-  SessionResult Sharded = runSession(Prog, sessionReq(1, 4, false));
-  SessionResult LockFree = runSession(Prog, sessionReq(1, 4, true));
-  ASSERT_TRUE(Sharded.ok());
-  ASSERT_TRUE(LockFree.ok());
-  ASSERT_GT(LockFree.Meta.Lookups, 0u);
-  EXPECT_EQ(Sharded.Meta.Lookups, LockFree.Meta.Lookups);
-  EXPECT_EQ(LockFree.Meta.LockAcquires,
-            Sharded.Meta.LockAcquires - Sharded.Meta.Lookups);
-  EXPECT_EQ(LockFree.Meta.SeqlockReads, LockFree.Meta.Lookups);
+  // Deterministic 1-lane run over a probed facility: every lock
+  // acquisition belongs to the write path — lookups take none — while
+  // every lookup is counted as a seqlock read.
+  LookupLockProbe Probe;
+  VMConfig Cfg;
+  Cfg.Meta = &Probe;
+  Cfg.Instrumented = true;
+  Cfg.Wrappers = WrapperMode::Full;
+  RunResult One = VM(*Prog.M, Cfg).run("main", {});
+  ASSERT_TRUE(One.ok()) << One.Message;
+  MetadataStats St = Probe.stats();
+  ASSERT_GT(St.Lookups, 0u);
+  EXPECT_GT(St.LockAcquires, 0u);
+  EXPECT_EQ(Probe.LookupAcquires, 0u) << "a lookup acquired a stripe lock";
+  EXPECT_EQ(St.SeqlockReads, St.Lookups);
 
   // Concurrent request lanes: reads stay on the seqlock (every lookup
-  // counted there), only the write path acquires locks — the same
-  // 4-lane run under Sharded pays an acquire per lookup on top, and
-  // nothing is missed.
-  SessionResult MT = runSession(Prog, sessionReq(4, 4, true));
-  SessionResult MTSharded = runSession(Prog, sessionReq(4, 4, false));
+  // counted there) and nothing is missed.
+  SessionResult MT = runSession(Prog, sessionReq(4, 4));
   ASSERT_TRUE(MT.ok()) << MT.Combined.Message;
-  ASSERT_TRUE(MTSharded.ok()) << MTSharded.Combined.Message;
   EXPECT_GT(MT.Meta.Lookups, 0u);
-  EXPECT_GE(MT.Meta.SeqlockReads, MT.Meta.Lookups);
-  EXPECT_EQ(MTSharded.Meta.SeqlockReads, 0u);
-  EXPECT_GT(MTSharded.Meta.LockAcquires, MT.Meta.LockAcquires);
+  EXPECT_EQ(MT.Meta.SeqlockReads, MT.Meta.Lookups);
   // Retries are priced like contended acquires in the sim-cost model.
   EXPECT_EQ(MT.Meta.contentionSimCost(),
             (MT.Meta.LockAcquires - MT.Meta.LockContended) *
@@ -356,7 +369,7 @@ TEST(TrafficLanes, HttpLaneStreamsMatchTheSingleLaneRun) {
       TrafficSchedule::generate(ServerKind::Http, smallConfig(120, 60));
   BuildResult Prog = buildTraffic(S.driverSource(true), CheckMode::Full);
   SessionResult One = runSession(Prog, sessionReq(1));
-  SessionResult Four = runSession(Prog, sessionReq(4, 4, true));
+  SessionResult Four = runSession(Prog, sessionReq(4, 4));
   ASSERT_TRUE(One.ok());
   ASSERT_TRUE(Four.ok()) << Four.Combined.Message;
   ASSERT_EQ(Four.PerLane.size(), 4u);

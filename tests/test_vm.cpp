@@ -7,8 +7,8 @@
 /// \file
 /// Unit tests of the execution substrate: the simulated memory's heap
 /// allocator (adjacency, free-list reuse, red-zone padding), segment
-/// fault behaviour, and the VM's control-data corruption detection that
-/// the attack suite relies on.
+/// fault behaviour, the VM's control-data corruption detection that the
+/// attack suite relies on, and the run limits (steps, output, heap).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -196,6 +196,64 @@ TEST(VMCounters, MaxFrameDepthTracksRecursion) {
                     .Combined;
   EXPECT_EQ(R.ExitCode, 40);
   EXPECT_GE(R.Counters.MaxFrameDepth, 41u);
+}
+
+//===----------------------------------------------------------------------===//
+// Run limits
+//===----------------------------------------------------------------------===//
+
+TEST(VMLimits, StepLimitTrapsARunawayLoop) {
+  RunRequest Req;
+  Req.StepLimit = 1000;
+  RunResult R = runSession(planFromBuildOptions("int main() {\n"
+                                                "  int i = 0;\n"
+                                                "  while (1) i = i + 1;\n"
+                                                "  return i;\n"
+                                                "}",
+                                                BuildOptions{}),
+                           Req)
+                    .Combined;
+  EXPECT_EQ(R.Trap, TrapKind::StepLimit) << trapName(R.Trap);
+  EXPECT_EQ(R.Counters.Insts, Req.StepLimit + 1);
+}
+
+TEST(VMLimits, OutputStopsAtTheCap) {
+  BuildResult Prog = buildProgram("int main() {\n"
+                                  "  for (int i = 0; i < 100; i++)\n"
+                                  "    print_char(120);\n"
+                                  "  return 3;\n"
+                                  "}",
+                                  BuildOptions{});
+  ASSERT_TRUE(Prog.ok()) << Prog.errorText();
+  VMConfig Cfg;
+  Cfg.Wrappers = WrapperMode::None;
+  Cfg.OutputLimit = 10;
+  RunResult R = VM(*Prog.M, Cfg).run("main", {});
+  // Output past the cap is discarded; the run itself completes.
+  EXPECT_TRUE(R.ok()) << R.Message;
+  EXPECT_EQ(R.ExitCode, 3);
+  EXPECT_EQ(R.Output, std::string(10, 'x'));
+}
+
+TEST(VMLimits, MallocBeyondTheHeapReturnsNull) {
+  // 100 MB exceeds the 64 MB heap segment: malloc returns NULL, the
+  // program sees it, and later small allocations still succeed.
+  const char *Src = "int main() {\n"
+                    "  char* big = (char*)malloc(100000000);\n"
+                    "  if (big != NULL) return 1;\n"
+                    "  char* small = (char*)malloc(16);\n"
+                    "  if (small == NULL) return 2;\n"
+                    "  small[15] = 1;\n"
+                    "  return 7;\n"
+                    "}";
+  ASSERT_GT(100000000u, VMConfig{}.HeapSize);
+  BuildOptions Instrumented;
+  Instrumented.Instrument = true;
+  for (const BuildOptions &B : {BuildOptions{}, Instrumented}) {
+    RunResult R = runSession(planFromBuildOptions(Src, B)).Combined;
+    EXPECT_TRUE(R.ok()) << trapName(R.Trap) << ": " << R.Message;
+    EXPECT_EQ(R.ExitCode, 7) << "instrumented=" << B.Instrument;
+  }
 }
 
 } // namespace

@@ -41,7 +41,7 @@ TEST_P(WorkloadTransparency, InstrumentedMatchesPlain) {
   BuildOptions B;
   B.Instrument = true;
   B.SB.Mode = Cases[Cfg].first;
-  RunOptions R;
+  RunRequest R;
   R.Facility = Cases[Cfg].second;
   RunResult SB = runSession(planFromBuildOptions(W.Source, B), R).Combined;
   EXPECT_TRUE(SB.ok()) << W.Name << ": " << trapName(SB.Trap) << " "
