@@ -32,7 +32,7 @@ struct Measurement {
 };
 
 /// Builds (once) and runs a program, timing the run.
-inline Measurement measure(const BuildResult &Prog,
+inline Measurement measure(const PipelineResult &Prog,
                            const RunRequest &Opts = {}) {
   Measurement M;
   auto T0 = std::chrono::steady_clock::now();
@@ -54,8 +54,8 @@ inline double overheadPct(uint64_t Instrumented, uint64_t Baseline) {
 
 /// Runs a PipelinePlan to completion; aborts the process with a message on
 /// build failure (benches must not run on broken inputs).
-inline BuildResult mustBuild(const PipelinePlan &Plan) {
-  BuildResult Prog = Plan.build();
+inline PipelineResult mustBuild(const PipelinePlan &Plan) {
+  PipelineResult Prog = Plan.build();
   if (!Prog.ok()) {
     std::fprintf(stderr, "bench build failed:\n%s\n",
                  Prog.errorText().c_str());
@@ -64,14 +64,10 @@ inline BuildResult mustBuild(const PipelinePlan &Plan) {
   return Prog;
 }
 
-/// Legacy-options overload.
-inline BuildResult mustBuild(const std::string &Src, const BuildOptions &B) {
-  return mustBuild(planFromBuildOptions(Src, B));
-}
-
 /// Builds \p Src through a textual pipeline spec; aborts on a malformed
 /// spec or build failure.
-inline BuildResult mustBuild(const std::string &Src, const std::string &Spec) {
+inline PipelineResult mustBuild(const std::string &Src,
+                                const std::string &Spec) {
   PipelinePlan Plan;
   Plan.frontend(Src);
   std::string Err;

@@ -125,7 +125,7 @@ int runSpecSweep(const std::string &Spec) {
                   "cycles", "build ms"});
   for (const auto &Name : LoopKernels) {
     const Workload &W = mustFindWorkload(Name);
-    BuildResult Prog = mustBuild(W.Source, Spec);
+    PipelineResult Prog = mustBuild(W.Source, Spec);
     Measurement M = measure(Prog);
     // elim % stays a checkopt statistic: 0.0 when the spec ran no
     // check-optimization pass.
@@ -160,7 +160,7 @@ void runCheckOptAblation(const std::string &JsonPath) {
     W.key(Name);
     W.beginObject();
     for (const auto &K : SpecConfigs) {
-      BuildResult Prog = mustBuild(Wl.Source, K.Spec);
+      PipelineResult Prog = mustBuild(Wl.Source, K.Spec);
       Measurement M = measure(Prog);
       const CheckOptStats &S = Prog.Pipeline.CheckOpt;
       T.addRow({K.Name, std::to_string(S.ChecksAfter),
@@ -277,8 +277,8 @@ int main(int argc, char **argv) {
     for (const auto &Name : {std::string("go"), std::string("compress"),
                              std::string("treeadd"), std::string("em3d")}) {
       const Workload &W = mustFindWorkload(Name);
-      BuildResult POn = mustBuild(W.Source, "optimize,softbound,checkopt");
-      BuildResult POff =
+      PipelineResult POn = mustBuild(W.Source, "optimize,softbound,checkopt");
+      PipelineResult POff =
           mustBuild(W.Source, "optimize,softbound(no-reopt),checkopt");
       Measurement MOn = measure(POn);
       Measurement MOff = measure(POff);

@@ -630,7 +630,7 @@ int main(int argc, char **argv) {
     WorkloadNumbers Num;
     Num.Name = W.Name;
 
-    BuildResult Base = mustBuild(W.Source, BuildOptions{});
+    PipelineResult Base = mustBuild(W.Source, "optimize");
     RunRequest BaseR;
     BaseR.Lanes = Lanes; // Same lane count as the instrumented runs, so
                          // overhead ratios compare like with like.
@@ -643,10 +643,11 @@ int main(int argc, char **argv) {
     Num.BaseCycles = MBase.R.Counters.Cycles;
 
     for (int C = 0; C < 4; ++C) {
-      BuildOptions B;
-      B.Instrument = true;
-      B.SB.Mode = Configs[C].Mode;
-      BuildResult Prog = mustBuild(W.Source, B);
+      PipelineResult Prog = mustBuild(PipelinePlan()
+                                          .frontend(W.Source)
+                                          .optimize()
+                                          .softbound({.Mode = Configs[C].Mode})
+                                          .checkOpt());
       RunRequest R;
       R.Facility = Configs[C].Facility;
       R.Lanes = Lanes;
@@ -725,18 +726,19 @@ int main(int argc, char **argv) {
     const Workload &W = mustFindWorkload(Num.Name);
     double ElimRate = 0;
     for (int K = 0; K < 4; ++K) {
-      BuildOptions B;
-      B.Instrument = true;
-      B.SB.Mode = K < 2 ? CheckMode::Full : CheckMode::StoreOnly;
-      B.CheckOpt.Enable = K % 2 == 1;
+      const CheckMode Mode = K < 2 ? CheckMode::Full : CheckMode::StoreOnly;
       // K == 1 is the default pipeline (full checking, checkopt on): the
       // run --profile / --trace observe. Telemetry attaches only there,
       // and only when requested, so the gated runs keep the null sink.
       const bool Observed = K == 1 && DoTelemetry;
-      PipelinePlan Plan = planFromBuildOptions(W.Source, B);
+      PipelinePlan Plan;
+      Plan.frontend(W.Source)
+          .optimize()
+          .softbound({.Mode = Mode})
+          .checkOpt({.Enable = K % 2 == 1});
       if (Observed)
         Plan.telemetry(&Telem, Num.Name + ":");
-      BuildResult Prog = mustBuild(Plan);
+      PipelineResult Prog = mustBuild(Plan);
       SiteProfile Prof;
       RunRequest R;
       R.Lanes = Lanes;
@@ -760,7 +762,7 @@ int main(int argc, char **argv) {
       ShadowSpaceMetadata ShadowCosts;
       Num.SimCost[K] = simCost(M.R.Counters, ShadowCosts);
       if (K == 1) {
-        ElimRate = 100.0 * Prog.Stats.CheckOpt.eliminationRate();
+        ElimRate = 100.0 * Prog.Pipeline.CheckOpt.eliminationRate();
         Num.CheckOpt = Prog.Pipeline.CheckOpt;
         Num.Timings = Prog.Pipeline.Passes;
         Num.CheckGuards = M.R.Counters.CheckGuards;

@@ -70,16 +70,19 @@ int main() {
 }
 )";
 
+/// The default instrumented pipeline over \p Src.
+PipelinePlan softboundPlan(const std::string &Src, SoftBoundConfig Cfg = {}) {
+  PipelinePlan Plan;
+  Plan.frontend(Src).optimize().softbound(Cfg).checkOpt();
+  return Plan;
+}
+
 bool softboundDetects(const char *Src) {
-  BuildOptions B;
-  B.Instrument = true;
-  return runSession(planFromBuildOptions(Src, B)).Combined.violationDetected();
+  return runSession(softboundPlan(Src)).Combined.violationDetected();
 }
 
 bool softboundRunsClean(const char *Src) {
-  BuildOptions B;
-  B.Instrument = true;
-  RunResult R = runSession(planFromBuildOptions(Src, B)).Combined;
+  RunResult R = runSession(softboundPlan(Src)).Combined;
   return R.ok() && R.ExitCode == 0;
 }
 
@@ -93,20 +96,15 @@ int main() {
 
   // Wild-cast probe: the benign part must run clean AND the trailing
   // overflow must be caught.
-  BuildOptions B;
-  B.Instrument = true;
-  RunResult WC = runSession(planFromBuildOptions(WildCastProbe, B)).Combined;
+  RunResult WC = runSession(softboundPlan(WildCastProbe)).Combined;
   bool WildCasts = WC.violationDetected(); // Overflow caught after casts.
   bool Layout = softboundRunsClean(LayoutProbe);
 
   // No-source-change: the whole 15-benchmark suite + 2 servers transformed
   // unmodified (this is what the workload test suite asserts); probe one
   // pointer-heavy kernel here.
-  BuildOptions BT;
-  BT.Instrument = true;
   RunResult Tr =
-      runSession(planFromBuildOptions(benchmarkSuite()[14].Source, BT))
-          .Combined;
+      runSession(softboundPlan(benchmarkSuite()[14].Source)).Combined;
   bool NoSrcChange = Tr.ok();
 
   // Separate compilation: the transformation is purely intra-procedural —
@@ -128,14 +126,13 @@ int main() { return apply(twice, 21) == 42 ? 0 : 1; }
   ROT.RedzonePad = 16;
   ROT.GlobalPad = 16;
   bool ObjTableSubObject =
-      runSession(planFromBuildOptions(SubObjectProbe, BuildOptions{}), ROT)
+      runSession(PipelinePlan().frontend(SubObjectProbe).optimize(), ROT)
           .Combined.violationDetected();
 
   // MSCC-like (no shrink) measured sub-object miss.
-  BuildOptions BM;
-  BM.Instrument = true;
-  BM.SB.ShrinkBounds = false;
-  bool MsccSubObject = runSession(planFromBuildOptions(SubObjectProbe, BM))
+  SoftBoundConfig NoShrink;
+  NoShrink.ShrinkBounds = false;
+  bool MsccSubObject = runSession(softboundPlan(SubObjectProbe, NoShrink))
                            .Combined.violationDetected();
 
   TablePrinter T({"scheme", "no src change", "complete (subfield)",

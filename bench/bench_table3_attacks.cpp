@@ -23,18 +23,13 @@ int main() {
 
   int Landed = 0, FullDet = 0, StoreDet = 0;
   for (const auto &A : attackSuite()) {
-    BuildResult Plain = mustBuild(A.Source, BuildOptions{});
-    RunResult RPlain = runSession(Plain).Combined;
-
-    BuildOptions BF;
-    BF.Instrument = true;
-    BF.SB.Mode = CheckMode::Full;
-    RunResult RFull = runSession(mustBuild(A.Source, BF)).Combined;
-
-    BuildOptions BS;
-    BS.Instrument = true;
-    BS.SB.Mode = CheckMode::StoreOnly;
-    RunResult RStore = runSession(mustBuild(A.Source, BS)).Combined;
+    RunResult RPlain = runSession(mustBuild(A.Source, "optimize")).Combined;
+    RunResult RFull =
+        runSession(mustBuild(A.Source, "optimize,softbound,checkopt")).Combined;
+    RunResult RStore =
+        runSession(
+            mustBuild(A.Source, "optimize,softbound(store-only),checkopt"))
+            .Combined;
 
     bool L = RPlain.attackLanded();
     bool F = RFull.violationDetected();

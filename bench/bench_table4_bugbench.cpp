@@ -41,7 +41,7 @@ int main() {
   bool AllMatch = true;
   int Idx = 0;
   for (const auto &Bug : bugbenchSuite()) {
-    BuildResult Plain = mustBuild(Bug.Source, BuildOptions{});
+    PipelineResult Plain = mustBuild(Bug.Source, "optimize");
 
     MemcheckLite MC;
     RunRequest RMC;
@@ -54,20 +54,15 @@ int main() {
     ROT.Checker = &OT;
     ROT.RedzonePad = 16;
     ROT.GlobalPad = 16;
-    bool Mudflap = runSession(mustBuild(Bug.Source, BuildOptions{}), ROT)
+    bool Mudflap = runSession(mustBuild(Bug.Source, "optimize"), ROT)
                        .Combined.violationDetected();
 
-    BuildOptions BS;
-    BS.Instrument = true;
-    BS.SB.Mode = CheckMode::StoreOnly;
     bool Store =
-        runSession(mustBuild(Bug.Source, BS)).Combined.violationDetected();
-
-    BuildOptions BF;
-    BF.Instrument = true;
-    BF.SB.Mode = CheckMode::Full;
-    bool Full =
-        runSession(mustBuild(Bug.Source, BF)).Combined.violationDetected();
+        runSession(
+            mustBuild(Bug.Source, "optimize,softbound(store-only),checkopt"))
+            .Combined.violationDetected();
+    bool Full = runSession(mustBuild(Bug.Source, "optimize,softbound,checkopt"))
+                    .Combined.violationDetected();
 
     bool Match = Valgrind == Paper[Idx][0] && Mudflap == Paper[Idx][1] &&
                  Store == Paper[Idx][2] && Full == Paper[Idx][3];

@@ -65,7 +65,7 @@ int main() {
   //    access. (Equivalently: plan.appendSpec("optimize,softbound,checkopt").)
   PipelinePlan ProtectedPlan =
       PipelinePlan().frontend(Program).optimize().softbound().checkOpt();
-  BuildResult Prog = ProtectedPlan.build();
+  PipelineResult Prog = ProtectedPlan.build();
   if (!Prog.ok()) {
     std::printf("build failed: %s\n", Prog.errorText().c_str());
     return 1;

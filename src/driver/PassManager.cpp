@@ -30,9 +30,8 @@ public:
 };
 
 /// "softbound": the §3/§5 transformation. Honors its SoftBoundConfig
-/// verbatim, including the internal ReoptimizeAfter cleanup, so the bare
-/// spec "optimize,softbound,checkopt" reproduces the legacy default
-/// pipeline exactly.
+/// verbatim, including the internal ReoptimizeAfter cleanup;
+/// "softbound(no-reopt),reoptimize" stages that cleanup as its own pass.
 class SoftBoundModulePass : public ModulePass {
 public:
   explicit SoftBoundModulePass(SoftBoundConfig Cfg) : Cfg(Cfg) {}
@@ -54,8 +53,6 @@ public:
       Knobs.push_back("no-funcptr-check");
     if (!Cfg.ReoptimizeAfter)
       Knobs.push_back("no-reopt");
-    if (Cfg.ElideSafePointerChecks)
-      Knobs.push_back("elide-safe");
     if (Knobs.empty())
       return S;
     S += '(';
@@ -65,12 +62,7 @@ public:
   }
 
   void run(Module &M, PassContext &Ctx) const override {
-    SoftBoundStats S = applySoftBound(M, Cfg);
-    // The deprecated ElideSafePointerChecks flag counts through the
-    // SafeElision sub-pass; surface it in the owning registry too.
-    Ctx.stats().CheckOpt.SafeChecksElided += S.ChecksElidedStatically;
-    S.ChecksElidedStatically = 0;
-    Ctx.stats().SB += S;
+    Ctx.stats().SB += applySoftBound(M, Cfg);
     Ctx.stats().Instrumented = true;
     Ctx.stats().Mode = Cfg.Mode;
   }
@@ -167,8 +159,8 @@ std::string joinList(const std::vector<std::string> &L) {
 }
 
 const std::vector<std::string> SoftBoundKnobs = {
-    "store-only",      "metadata-only",    "no-shrink", "no-memcpy-infer",
-    "no-funcptr-check", "no-reopt",        "elide-safe"};
+    "store-only",       "metadata-only", "no-shrink", "no-memcpy-infer",
+    "no-funcptr-check", "no-reopt"};
 
 bool parseSoftBoundKnobs(const std::vector<std::string> &Knobs,
                          SoftBoundConfig &Cfg, std::string &Err) {
@@ -185,8 +177,6 @@ bool parseSoftBoundKnobs(const std::vector<std::string> &Knobs,
       Cfg.CheckFunctionPointers = false;
     else if (K == "no-reopt")
       Cfg.ReoptimizeAfter = false;
-    else if (K == "elide-safe")
-      Cfg.ElideSafePointerChecks = true;
     else {
       Err = "softbound: unknown knob '" + K +
             "' (knobs: " + joinList(SoftBoundKnobs) + ")";
@@ -581,10 +571,5 @@ PipelineResult PipelinePlan::build() const {
   Out.Pipeline = Ctx.stats();
   Out.Instrumented = Out.Pipeline.Instrumented;
   Out.Mode = Out.Pipeline.Mode;
-  // Legacy view: SB counters with the check-opt registry mirrored into the
-  // deprecated alias fields.
-  Out.Stats = Out.Pipeline.SB;
-  Out.Stats.CheckOpt = Out.Pipeline.CheckOpt;
-  Out.Stats.ChecksElidedStatically = Out.Pipeline.CheckOpt.SafeChecksElided;
   return Out;
 }

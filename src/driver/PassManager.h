@@ -27,14 +27,15 @@
 ///     ("optimize,softbound,checkopt(range,redundant,hoist)") with
 ///     round-trip canonicalization via spec().
 ///
-/// The legacy BuildOptions driver (driver/Pipeline.h) is a thin wrapper
-/// over this API; PipelineResult *is* the legacy BuildResult.
+/// PipelinePlan is the one way to build a program; driver/Pipeline.h runs
+/// the PipelineResult it returns.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SOFTBOUND_DRIVER_PASSMANAGER_H
 #define SOFTBOUND_DRIVER_PASSMANAGER_H
 
+#include "opt/checks/CheckOpt.h"
 #include "softbound/SoftBoundPass.h"
 
 #include <functional>
@@ -58,13 +59,10 @@ struct PassTiming {
   double Millis = 0; ///< Time spent inside ModulePass::run.
 };
 
-/// The single owner of everything the pipeline measured. Replaces the old
-/// scatter across SoftBoundStats / CheckOptStats / driver locals; the
-/// legacy PipelineResult::Stats view is synthesized from this.
+/// The single owner of everything the pipeline measured.
 struct PipelineStats {
   /// SoftBound transformation counters (checks/metadata inserted, calls
-  /// rewritten, post-instrumentation eliminations). Its nested CheckOpt
-  /// member stays zero here — CheckOpt below is the owner.
+  /// rewritten, post-instrumentation eliminations).
   SoftBoundStats SB;
   /// Check-optimization counters, accumulated across every checkopt /
   /// safe-elision pass in the plan.
@@ -126,8 +124,7 @@ public:
 //===----------------------------------------------------------------------===//
 
 /// String-keyed pass factory table. The five built-in phases are
-/// pre-registered; new optimizations become one `add` call instead of
-/// another BuildOptions bool.
+/// pre-registered; a new optimization is one `add` call.
 class PassRegistry {
 public:
   /// Builds a pass from spec knobs. On failure, sets \p Err (naming the
@@ -168,15 +165,10 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Result of running a plan: the built module plus everything measured.
-/// This *is* the legacy BuildResult (driver/Pipeline.h aliases it).
 struct PipelineResult {
   std::unique_ptr<Module> M;
   /// Single owner of all pipeline statistics.
   PipelineStats Pipeline;
-  /// \deprecated Legacy view for pre-PipelinePlan call sites: Pipeline.SB
-  /// with Stats.CheckOpt / Stats.ChecksElidedStatically synced from
-  /// Pipeline.CheckOpt. Reads the same numbers; prefer Pipeline.
-  SoftBoundStats Stats;
   std::vector<std::string> Errors;
   bool Instrumented = false;
   CheckMode Mode = CheckMode::Full;

@@ -13,22 +13,6 @@
 
 using namespace softbound;
 
-PipelinePlan softbound::planFromBuildOptions(const std::string &Source,
-                                             const BuildOptions &Opts) {
-  PipelinePlan Plan;
-  Plan.frontend(Source);
-  if (Opts.Optimize)
-    Plan.optimize();
-  if (Opts.Instrument)
-    Plan.softbound(Opts.SB).checkOpt(Opts.CheckOpt);
-  return Plan;
-}
-
-BuildResult softbound::buildProgram(const std::string &Source,
-                                    const BuildOptions &Opts) {
-  return planFromBuildOptions(Source, Opts).build();
-}
-
 namespace {
 
 /// A SessionResult whose Combined run refused to start.
@@ -41,7 +25,7 @@ SessionResult refuse(std::string Message) {
 
 } // namespace
 
-SessionResult softbound::runSession(const BuildResult &Prog,
+SessionResult softbound::runSession(const PipelineResult &Prog,
                                     const RunRequest &Req) {
   // Whole-program contract (checkopt interproc + partition): an
   // internally-called function's checks were elided — or its metadata
@@ -186,7 +170,7 @@ SessionResult softbound::runSession(const BuildResult &Prog,
 
 SessionResult softbound::runSession(const PipelinePlan &Plan,
                                     const RunRequest &Req) {
-  BuildResult Prog = Plan.build();
+  PipelineResult Prog = Plan.build();
   if (!Prog.ok())
     return refuse("build failed: " + Prog.errorText());
   return runSession(Prog, Req);

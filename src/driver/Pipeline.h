@@ -9,18 +9,12 @@
 /// SoftBound instrumentation -> VM execution with a chosen metadata
 /// facility.
 ///
-/// The build side is now a thin compatibility wrapper over the composable
-/// PipelinePlan API (driver/PassManager.h): buildProgram translates
-/// BuildOptions into the equivalent plan
-/// (frontend -> optimize -> softbound -> checkopt) and BuildResult is the
-/// plan's PipelineResult. New code should construct PipelinePlan directly;
-/// buildProgram is kept for existing call sites but gains no new knobs
-/// (see README "Pipeline API" for the deprecation policy).
-///
-/// The run side follows the same shape (docs/runtime.md): runSession
-/// takes a RunRequest — facility kind, shard count, lane count, sinks —
-/// and returns a SessionResult with the lane-merged Combined view plus
-/// per-lane results. It is the only run entry point.
+/// Building is PipelinePlan's job (driver/PassManager.h): a fluent or
+/// spec-string pass sequence whose build() returns a PipelineResult.
+/// Running is this header's: runSession takes a RunRequest — facility
+/// kind, shard count, lane count, sinks — and returns a SessionResult with
+/// the lane-merged Combined view plus per-lane results (docs/runtime.md).
+/// It is the only run entry point.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,30 +34,6 @@ namespace softbound {
 
 /// Which §5.1 metadata facility implementation to execute with.
 enum class FacilityKind { Shadow, Hash };
-
-/// Build-time options.
-/// \deprecated Prefer composing a PipelinePlan; every field here is a
-/// frozen alias for a pass (or pass knob) in the plan.
-struct BuildOptions {
-  bool Optimize = true;    ///< Run the optimizer before instrumentation.
-  bool Instrument = false; ///< Apply the SoftBound transformation.
-  SoftBoundConfig SB;      ///< Pass configuration when instrumenting.
-  /// Static check-optimization subsystem (opt/checks/), run after the
-  /// SoftBound pass. On by default; per-sub-pass ablation knobs inside.
-  CheckOptConfig CheckOpt;
-};
-
-/// A built program ready to run (the PipelinePlan result type).
-using BuildResult = PipelineResult;
-
-/// Translates \p Opts into the equivalent PipelinePlan for \p Source:
-/// frontend, then optimize / softbound / checkopt as the flags dictate.
-PipelinePlan planFromBuildOptions(const std::string &Source,
-                                  const BuildOptions &Opts);
-
-/// Compiles, verifies, optimizes and (optionally) instruments \p Source.
-/// \deprecated Thin wrapper: planFromBuildOptions(Source, Opts).build().
-BuildResult buildProgram(const std::string &Source, const BuildOptions &Opts);
 
 /// One run request: everything the session layer needs to execute a
 /// built program — facility choice and concurrency shape, entry point
@@ -144,7 +114,8 @@ struct SessionResult {
 /// facility for instrumented programs (sharded per \p Req), runs
 /// Req.Lanes interpreter lanes, and merges per-lane profiles and
 /// telemetry deterministically (lane-index order) into Req's sinks.
-SessionResult runSession(const BuildResult &Prog, const RunRequest &Req = {});
+SessionResult runSession(const PipelineResult &Prog,
+                         const RunRequest &Req = {});
 
 /// Builds \p Plan and runs the result as a session. Build errors are
 /// reported as a Combined RunResult with a Segfault trap and the error

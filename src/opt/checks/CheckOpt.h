@@ -31,8 +31,8 @@
 ///      check whose pointer is an all-constant, per-index-validated GEP
 ///      chain into a known-size stack or global object, with the access
 ///      contained in the object, is deleted outright — the §6.5 CCured
-///      comparison knob, formerly SoftBoundConfig::ElideSafePointerChecks
-///      (same proof, same results).
+///      comparison knob (the `checkopt(safe)` knob or the `safe-elision`
+///      pass).
 ///   5. Inter-procedural bounds propagation (InterProc.h, module-level):
 ///      a call-graph pass that elides callee-side checks every direct
 ///      call site already proves, turns callee-guaranteed checks into
@@ -72,8 +72,7 @@ namespace softbound {
 class DomTree;
 class InstOrder;
 
-/// Per-sub-pass toggles (ablation knobs, in the style of
-/// SoftBoundConfig::ElideSafePointerChecks).
+/// Per-sub-pass toggles (ablation knobs).
 struct CheckOptConfig {
   /// Master switch for the whole subsystem.
   bool Enable = true;
@@ -224,10 +223,10 @@ bool instDominates(const DomTree &DT, const InstOrder &Ord,
 
 namespace checkopt {
 
-/// The SafeElision sub-pass (SafeElision.cpp), also reachable directly for
-/// the deprecated SoftBoundConfig::ElideSafePointerChecks path: deletes
-/// every spatial check whose pointer is a constant offset into a
-/// known-size alloca/global with the access contained in the object.
+/// The SafeElision sub-pass (SafeElision.cpp), run by optimizeChecks when
+/// CheckOptConfig::ElideSafeChecks is set: deletes every spatial check
+/// whose pointer is a constant offset into a known-size alloca/global with
+/// the access contained in the object.
 void elideSafeChecks(Function &F, CheckOptStats &Stats);
 
 } // namespace checkopt

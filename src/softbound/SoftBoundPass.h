@@ -26,7 +26,6 @@
 #define SOFTBOUND_SOFTBOUND_SOFTBOUNDPASS_H
 
 #include "ir/Module.h"
-#include "opt/checks/CheckOpt.h"
 
 namespace softbound {
 
@@ -52,14 +51,6 @@ struct SoftBoundConfig {
   /// Run redundant-check elimination + DCE after instrumentation (the
   /// paper re-runs LLVM's optimizers, §6.1).
   bool ReoptimizeAfter = true;
-  /// CCured-style SAFE-pointer elision (§6.5 comparison): statically prove
-  /// constant-offset accesses into known-size objects in bounds and delete
-  /// their checks. SoftBound proper leaves this to later passes.
-  /// \deprecated The logic lives in opt/checks/SafeElision.cpp; prefer
-  /// CheckOptConfig::ElideSafeChecks (the `checkopt(safe)` /
-  /// `safe-elision` pipeline passes). This flag now invokes that sub-pass
-  /// after instrumentation and keeps old call sites working.
-  bool ElideSafePointerChecks = false;
 };
 
 /// What the pass did (for tests and the instrumentation-cost benches).
@@ -72,13 +63,6 @@ struct SoftBoundStats {
   unsigned BoundsShrunk = 0;
   unsigned CallsRewritten = 0;
   unsigned ChecksEliminated = 0;
-  /// \deprecated Alias of CheckOptStats::SafeChecksElided for old call
-  /// sites; PipelineStats::CheckOpt is the owner of elision counters.
-  unsigned ChecksElidedStatically = 0;
-  /// \deprecated Alias filled by the driver from PipelineStats::CheckOpt
-  /// (the single owner) when the post-instrumentation check-optimization
-  /// subsystem (opt/checks/) runs; zeroed otherwise.
-  CheckOptStats CheckOpt;
 
   SoftBoundStats &operator+=(const SoftBoundStats &O) {
     FunctionsTransformed += O.FunctionsTransformed;
@@ -89,8 +73,6 @@ struct SoftBoundStats {
     BoundsShrunk += O.BoundsShrunk;
     CallsRewritten += O.CallsRewritten;
     ChecksEliminated += O.ChecksEliminated;
-    ChecksElidedStatically += O.ChecksElidedStatically;
-    CheckOpt += O.CheckOpt;
     return *this;
   }
 };

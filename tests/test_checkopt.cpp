@@ -54,8 +54,9 @@ PipelinePlan plan(const std::string &Src, const SoftBoundConfig &SB = {},
   return PipelinePlan().frontend(Src).optimize().softbound(SB).checkOpt(CO);
 }
 
-BuildResult planBuild(const std::string &Src, const SoftBoundConfig &SB = {},
-                      const CheckOptConfig &CO = {}) {
+PipelineResult planBuild(const std::string &Src,
+                         const SoftBoundConfig &SB = {},
+                         const CheckOptConfig &CO = {}) {
   return plan(Src, SB, CO).build();
 }
 
@@ -306,7 +307,7 @@ TEST(CheckOptLoops, MonotonicLoopCollapsesToHull) {
                     "  for (int i = 0; i < 16; i++) { p[i] = i; s += p[i]; }\n"
                     "  return s;\n"
                     "}";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_GE(Prog.Pipeline.CheckOpt.LoopChecksHoisted, 1u);
   EXPECT_EQ(countChecks(*Prog.M), 2u) << "one hull check per endpoint";
@@ -319,7 +320,7 @@ TEST(CheckOptLoops, MonotonicLoopCollapsesToHull) {
   // Unoptimized build for reference: one dynamic check per iteration.
   CheckOptConfig Off;
   Off.Enable = false;
-  BuildResult ProgOff = planBuild(Src, {}, Off);
+  PipelineResult ProgOff = planBuild(Src, {}, Off);
   ASSERT_TRUE(ProgOff.ok());
   RunResult ROff = runSession(ProgOff).Combined;
   EXPECT_EQ(ROff.ExitCode, R.ExitCode);
@@ -338,7 +339,7 @@ TEST(CheckOptLoops, NestedCountedLoopsCascade) {
       "        g[i * 8 + j] = g[i * 8 + j] + r;\n"
       "  return g[63];\n"
       "}";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   RunResult R = runSession(Prog).Combined;
   ASSERT_TRUE(R.ok()) << R.Message;
@@ -378,7 +379,7 @@ TEST(CheckOptLoops, ExtremeConstantsDoNotWrapTripCount) {
       "       i = i + 4611686018427387904) { a[7] = 1; }\n"
       "  return 0;\n"
       "}";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_EQ(runSession(Prog).Combined.Trap, TrapKind::SpatialViolation);
 }
@@ -496,7 +497,7 @@ const char *VarLimitSweepSrc = "long buf[64];\n"
                                "}";
 
 TEST(RuntimeHulls, VariableLimitLoopCollapsesToGuardedHull) {
-  BuildResult Prog = planBuild(VarLimitSweepSrc);
+  PipelineResult Prog = planBuild(VarLimitSweepSrc);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   const CheckOptStats &S = Prog.Pipeline.CheckOpt;
   EXPECT_GE(S.LoopsCountedRuntime, 1u);
@@ -514,7 +515,7 @@ TEST(RuntimeHulls, VariableLimitLoopCollapsesToGuardedHull) {
   // Without the runtime-limit knob the loop keeps per-iteration checks.
   CheckOptConfig NoRT;
   NoRT.RuntimeLimitHulls = false;
-  BuildResult Off = planBuild(VarLimitSweepSrc, {}, NoRT);
+  PipelineResult Off = planBuild(VarLimitSweepSrc, {}, NoRT);
   ASSERT_TRUE(Off.ok());
   EXPECT_EQ(Off.Pipeline.CheckOpt.RuntimeHullChecks, 0u);
   RunResult ROff = runSession(Off, RO).Combined;
@@ -523,7 +524,7 @@ TEST(RuntimeHulls, VariableLimitLoopCollapsesToGuardedHull) {
 }
 
 TEST(RuntimeHulls, ZeroTripAndNegativeLimitsPerformNoCheck) {
-  BuildResult Prog = planBuild(VarLimitSweepSrc);
+  PipelineResult Prog = planBuild(VarLimitSweepSrc);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   for (int64_t N : {int64_t(0), int64_t(-3)}) {
     RunRequest RO;
@@ -539,7 +540,7 @@ TEST(RuntimeHulls, ZeroTripAndNegativeLimitsPerformNoCheck) {
 }
 
 TEST(RuntimeHulls, OverflowingLimitTrapsViaHull) {
-  BuildResult Prog = planBuild(VarLimitSweepSrc);
+  PipelineResult Prog = planBuild(VarLimitSweepSrc);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   RunRequest RO;
   RO.Args = {64};
@@ -557,7 +558,7 @@ TEST(RuntimeHulls, DecreasingLoopWithSymbolicLowerLimit) {
                     "  for (int i = 63; i >= n; i--) { buf[i] = 2; s = s + 1; }\n"
                     "  return (int)s;\n"
                     "}";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_GE(Prog.Pipeline.CheckOpt.LoopsCountedRuntime, 1u);
 
@@ -593,7 +594,7 @@ TEST(RuntimeHulls, LimitMutatedInLoopIsRejected) {
       "  }\n"
       "  return (int)s;\n"
       "}";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_EQ(Prog.Pipeline.CheckOpt.LoopsCountedRuntime, 0u);
   EXPECT_EQ(Prog.Pipeline.CheckOpt.RuntimeHullChecks, 0u);
@@ -621,7 +622,7 @@ TEST(RuntimeHulls, OutOfWindowLimitFallsBackToInLoopChecks) {
                     "  }\n"
                     "  return (int)s;\n"
                     "}";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_EQ(Prog.Pipeline.CheckOpt.RuntimeHullChecks, 2u);
 
@@ -653,7 +654,7 @@ TEST(RuntimeHulls, WrappingEndpointFallsBackAndStillTraps) {
       "  for (long i = 0; i < n; i++) { s = s + a[i * 144115188075855873]; }\n"
       "  return (int)s;\n"
       "}";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
 
   RunRequest RO;
@@ -665,7 +666,7 @@ TEST(RuntimeHulls, WrappingEndpointFallsBackAndStillTraps) {
 
   CheckOptConfig Off;
   Off.Enable = false;
-  BuildResult POff = planBuild(Src, {}, Off);
+  PipelineResult POff = planBuild(Src, {}, Off);
   ASSERT_TRUE(POff.ok());
   EXPECT_EQ(runSession(POff, RO).Combined.Trap, TrapKind::SpatialViolation)
       << "reference: the unoptimized build traps identically";
@@ -683,7 +684,7 @@ TEST(RuntimeHulls, InterProcArgumentRangesDischargeGuards) {
       "  return (int)(s % 100);\n"
       "}\n"
       "int main() { return fill(buf, 30) + fill(buf, 50); }";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_GE(Prog.Pipeline.CheckOpt.RuntimeGuardsDischarged, 1u);
   EXPECT_TRUE(Prog.M->hasInterProcContract());
@@ -715,7 +716,7 @@ TEST(RuntimeHulls, SymbolicNestWithDistinctLimitsStaysSound) {
                     "    for (int j = 0; j < m; j++) { a[j] = j; s = s + 1; }\n"
                     "  return (int)(s % 100);\n"
                     "}";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   ASSERT_TRUE(verifyModule(*Prog.M).empty())
       << verifyModule(*Prog.M).front();
@@ -754,7 +755,7 @@ const char *TwoSymSweepSrc = "long buf[64];\n"
                              "}";
 
 TEST(RuntimeHulls, TwoSymbolSweepCollapsesToGuardedHull) {
-  BuildResult Prog = planBuild(TwoSymSweepSrc);
+  PipelineResult Prog = planBuild(TwoSymSweepSrc);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   const CheckOptStats &S = Prog.Pipeline.CheckOpt;
   EXPECT_GE(S.LoopsCountedRuntime, 1u);
@@ -778,7 +779,7 @@ TEST(RuntimeHulls, TwoSymbolSweepCollapsesToGuardedHull) {
   // Without the runtime-limit knob the loop keeps per-iteration checks.
   CheckOptConfig NoRT;
   NoRT.RuntimeLimitHulls = false;
-  BuildResult Off = planBuild(TwoSymSweepSrc, {}, NoRT);
+  PipelineResult Off = planBuild(TwoSymSweepSrc, {}, NoRT);
   ASSERT_TRUE(Off.ok());
   EXPECT_EQ(Off.Pipeline.CheckOpt.RuntimeHullChecks, 0u);
   RO.Args = {0, 16};
@@ -791,7 +792,7 @@ TEST(RuntimeHulls, TwoSymbolZeroTripPerformsNoCheck) {
   // lo > hi (and lo == hi): the exact trip test fails, the hull pair is
   // skipped, and the never-executing fallback performs no check either —
   // even though both "endpoints" would be wildly out of bounds.
-  BuildResult Prog = planBuild(TwoSymSweepSrc);
+  PipelineResult Prog = planBuild(TwoSymSweepSrc);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   for (auto [Lo, Hi] : {std::pair<int64_t, int64_t>{5, 2},
                         {9, 9},
@@ -809,7 +810,7 @@ TEST(RuntimeHulls, TwoSymbolZeroTripPerformsNoCheck) {
 }
 
 TEST(RuntimeHulls, TwoSymbolHullTrapsOnEitherEndpoint) {
-  BuildResult Prog = planBuild(TwoSymSweepSrc);
+  PipelineResult Prog = planBuild(TwoSymSweepSrc);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   RunRequest RO;
   RO.Args = {0, 64};
@@ -835,7 +836,7 @@ TEST(RuntimeHulls, DecreasingFromSymbolicInitStillTrapsUnderflow) {
                     "  }\n"
                     "  return (int)s;\n"
                     "}";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_GE(Prog.Pipeline.CheckOpt.LoopsCountedSymInit, 1u);
   EXPECT_EQ(Prog.Pipeline.CheckOpt.RuntimeHullChecks, 2u);
@@ -867,7 +868,7 @@ const char *StridedSweepSrc = "long buf[96];\n"
                               "}";
 
 TEST(RuntimeHulls, StrideDivisibilityGuardGatesTheHull) {
-  BuildResult Prog = planBuild(StridedSweepSrc);
+  PipelineResult Prog = planBuild(StridedSweepSrc);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   const CheckOptStats &S = Prog.Pipeline.CheckOpt;
   EXPECT_GE(S.LoopsCountedStrided, 1u);
@@ -913,7 +914,7 @@ TEST(RuntimeHulls, MutatedBoundVariablesStaySound) {
                       "  }\n"
                       "  return (int)s;\n"
                       "}";
-  BuildResult Prog = planBuild(MutHi);
+  PipelineResult Prog = planBuild(MutHi);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_EQ(Prog.Pipeline.CheckOpt.LoopsCountedRuntime, 0u)
       << "an in-loop-mutated limit must not be recognized";
@@ -937,7 +938,7 @@ TEST(RuntimeHulls, MutatedBoundVariablesStaySound) {
                       "  }\n"
                       "  return (int)s;\n"
                       "}";
-  BuildResult Prog2 = planBuild(MutLo);
+  PipelineResult Prog2 = planBuild(MutLo);
   ASSERT_TRUE(Prog2.ok()) << Prog2.errorText();
   for (int64_t N : {int64_t(0), int64_t(5), int64_t(12)}) {
     RunRequest RO;
@@ -964,7 +965,7 @@ TEST(RuntimeHulls, TriangularNestWithDerivedSymbolNeverFalselyTraps) {
                     "      s = s + a[i * 16 + j];\n"
                     "  return (int)s;\n"
                     "}";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   CheckOptConfig Off;
   Off.Enable = false;
@@ -997,7 +998,7 @@ TEST(RuntimeHulls, TwoSymbolInterProcRangesDischargeGuards) {
       "  return (int)(s % 100);\n"
       "}\n"
       "int main() { return fill(buf, 2, 30) + fill(buf, 10, 50); }";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_GE(Prog.Pipeline.CheckOpt.RuntimeGuardsDischarged, 1u);
   EXPECT_TRUE(Prog.M->hasInterProcContract());
@@ -1034,7 +1035,7 @@ TEST(RuntimeHulls, NestedConstantLoopRehoistsGuardedHulls) {
       "  for (int i = 0; i < n; i++) xs[i] = i;\n"
       "  return smooth(n) % 100;\n"
       "}";
-  BuildResult Prog = planBuild(Src);
+  PipelineResult Prog = planBuild(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   RunResult R = runSession(Prog).Combined;
   ASSERT_TRUE(R.ok()) << R.Message;
@@ -1061,7 +1062,7 @@ TEST(CheckOptRCE, StructFieldRepeatsEliminatedAcrossBlocks) {
                     "}";
   SoftBoundConfig SB;
   SB.ReoptimizeAfter = false;
-  BuildResult Prog = planBuild(Src, SB);
+  PipelineResult Prog = planBuild(Src, SB);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   EXPECT_GE(Prog.Pipeline.CheckOpt.DominatedEliminated +
                 Prog.Pipeline.CheckOpt.RangeEliminated,

@@ -49,6 +49,11 @@ namespace {
 
 constexpr uint64_t Stripe = 1ULL << ShardStripeLog2;
 
+/// Builds \p Src through the default instrumented pipeline.
+PipelineResult buildInstrumented(const std::string &Src) {
+  return PipelinePlan().frontend(Src).optimize().softbound().checkOpt().build();
+}
+
 //===----------------------------------------------------------------------===//
 // Stripe-spanning range operations vs a single-threaded oracle
 //===----------------------------------------------------------------------===//
@@ -191,10 +196,7 @@ TEST(ShardedConcurrency, ParallelHammerLosesNoSlotsAndCountsLocks) {
 
 TEST(MultiLaneSessions, FourLaneAttackSweepMissesNothing) {
   for (const AttackCase &A : attackSuite()) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = CheckMode::Full;
-    BuildResult Prog = buildProgram(A.Source, B);
+    PipelineResult Prog = buildInstrumented(A.Source);
     ASSERT_TRUE(Prog.ok()) << A.Name << ": " << Prog.errorText();
 
     RunRequest Req;
@@ -219,10 +221,7 @@ TEST(MultiLaneSessions, FourLaneBugBenchSweepMissesNothing) {
   // Every Table 4 kernel is detected under full checking (the matrix in
   // test_bugbench.cpp); four concurrent lanes must not change that.
   for (const BugCase &Bug : bugbenchSuite()) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = CheckMode::Full;
-    BuildResult Prog = buildProgram(Bug.Source, B);
+    PipelineResult Prog = buildInstrumented(Bug.Source);
     ASSERT_TRUE(Prog.ok()) << Bug.Name << ": " << Prog.errorText();
 
     RunRequest Req;
@@ -244,10 +243,7 @@ TEST(MultiLaneSessions, FourLaneBugBenchSweepMissesNothing) {
 
 TEST(SessionDeterminism, SingleLaneMatchesHandBuiltVM) {
   for (const Workload &W : benchmarkSuite()) {
-    BuildOptions B;
-    B.Instrument = true;
-    B.SB.Mode = CheckMode::Full;
-    BuildResult Prog = buildProgram(W.Source, B);
+    PipelineResult Prog = buildInstrumented(W.Source);
     ASSERT_TRUE(Prog.ok()) << W.Name << ": " << Prog.errorText();
 
     // The classic single-threaded run, configured by hand: an unsharded
@@ -290,10 +286,7 @@ TEST(MultiLaneSessions, ContentionCountersAndDeterministicMerge) {
       Chosen = &W;
   ASSERT_NE(Chosen, nullptr);
 
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = CheckMode::Full;
-  BuildResult Prog = buildProgram(Chosen->Source, B);
+  PipelineResult Prog = buildInstrumented(Chosen->Source);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   RunResult Single = runSession(Prog).Combined;
   ASSERT_TRUE(Single.ok()) << Single.Message;

@@ -218,6 +218,27 @@ TEST(DocsDrift, RuntimeDocCurrent) {
       << "docs/runtime.md seqlock retry price drifted from SeqlockRetryCost";
 }
 
+TEST(DocsDrift, PipelineDocCurrent) {
+  // PipelinePlan is the one build API. The pipeline doc gives the §6.5
+  // CCured-like spec, and no doc names the retired build wrappers, the
+  // result alias or the old elision flag and knob. Spelled in pieces so
+  // that a repository-wide search for the retired names comes back empty.
+  EXPECT_NE(readFile("docs/pipeline.md")
+                .find("optimize,softbound(no-reopt),safe-elision,"
+                      "reoptimize,checkopt"),
+            std::string::npos)
+      << "docs/pipeline.md no longer gives the CCured-like spec";
+  for (const char *Path :
+       {"README.md", "docs/pipeline.md", ".claude/skills/verify/SKILL.md"}) {
+    std::string Doc = readFile(Path);
+    for (const char *Gone :
+         {"Build" "Options", "build" "Program", "planFrom" "Build",
+          "Build" "Result", "ElideSafe" "PointerChecks", "elide" "-safe"})
+      EXPECT_EQ(Doc.find(Gone), std::string::npos)
+          << Path << " still mentions retired '" << Gone << "'";
+  }
+}
+
 TEST(DocsDrift, ObservabilityDocCurrent) {
   std::string Readme = readFile("README.md");
   EXPECT_NE(Readme.find("docs/observability.md"), std::string::npos)

@@ -46,12 +46,12 @@ unsigned countChecksIn(const Function &F) {
   return N;
 }
 
-BuildResult buildSpec(const std::string &Src, const std::string &Spec) {
+PipelineResult buildSpec(const std::string &Src, const std::string &Spec) {
   PipelinePlan Plan;
   Plan.frontend(Src);
   std::string Err;
   EXPECT_TRUE(Plan.appendSpec(Spec, &Err)) << Err;
-  BuildResult R = Plan.build();
+  PipelineResult R = Plan.build();
   EXPECT_TRUE(R.ok()) << R.errorText();
   return R;
 }
@@ -118,7 +118,7 @@ TEST(CallGraph, MutualRecursionFormsOneScc) {
                     "int odd(int n) { if (n == 0) return 0; "
                     "return even(n - 1); }\n"
                     "int main() { return even(10); }";
-  BuildResult R = buildSpec(Src, "optimize");
+  PipelineResult R = buildSpec(Src, "optimize");
   ASSERT_TRUE(R.ok());
   checkopt::CallGraph CG(*R.M);
   Function *Even = R.M->getFunction("even");
@@ -143,7 +143,7 @@ TEST(InterProcSoundness, CalleeOverflowStillTrapsWhenSiteProvesLess) {
                     "  q[0] = 1;\n"
                     "  return f(q);\n"
                     "}";
-  BuildResult R = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult R = buildSpec(Src, "optimize,softbound,checkopt");
   RunResult RR = runSession(R).Combined;
   EXPECT_EQ(RR.Trap, TrapKind::SpatialViolation) << trapName(RR.Trap);
 }
@@ -158,7 +158,7 @@ TEST(InterProcSoundness, RecursiveCalleeOverflowStillTraps) {
                     "  q[0] = 1;\n"
                     "  return walk(q, 2);\n"
                     "}";
-  BuildResult R = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult R = buildSpec(Src, "optimize,softbound,checkopt");
   RunResult RR = runSession(R).Combined;
   EXPECT_EQ(RR.Trap, TrapKind::SpatialViolation) << trapName(RR.Trap);
 }
@@ -173,7 +173,7 @@ TEST(InterProcSoundness, FunctionPointerCalleeIsNeverElided) {
                     "  q[0] = 1; q[1] = 2;\n"
                     "  return fn(q);\n"
                     "}";
-  BuildResult R = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult R = buildSpec(Src, "optimize,softbound,checkopt");
   RunResult RR = runSession(R).Combined;
   EXPECT_EQ(RR.Trap, TrapKind::SpatialViolation) << trapName(RR.Trap);
 }
@@ -197,7 +197,7 @@ TEST(InterProcSoundness, WrappedI64ArithmeticIsNotRangeElided) {
                     "  }\n"
                     "  return 0;\n"
                     "}";
-  BuildResult R = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult R = buildSpec(Src, "optimize,softbound,checkopt");
   EXPECT_EQ(R.Pipeline.CheckOpt.InterProcRangeElided, 0u)
       << "no static proof exists: y wraps";
   RunResult RR = runSession(R).Combined;
@@ -214,7 +214,7 @@ TEST(InterProcSoundness, InternalEntryRejectedAfterInterProc) {
                     "  q[0] = 5;\n"
                     "  return take(q);\n"
                     "}";
-  BuildResult On = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   ASSERT_TRUE(On.M->hasInterProcContract());
 
   RunRequest RO;
@@ -229,7 +229,7 @@ TEST(InterProcSoundness, InternalEntryRejectedAfterInterProc) {
 
   // Without the interproc sub-pass no contract exists and any entry is
   // still accepted.
-  BuildResult Off =
+  PipelineResult Off =
       buildSpec(Src, "optimize,softbound,checkopt(redundant,range,hoist)");
   EXPECT_FALSE(Off.M->hasInterProcContract());
   RunResult OffTake = runSession(Off, RO).Combined;
@@ -241,7 +241,7 @@ TEST(InterProcSoundness, AttackAndBugBenchSuitesStayDetected) {
   // Interproc alone (no other sub-passes masking it): every Table 3
   // attack and Table 4 bug must still be detected.
   for (const AttackCase &A : attackSuite()) {
-    BuildResult R =
+    PipelineResult R =
         buildSpec(A.Source, "optimize,softbound,checkopt(interproc)");
     RunResult RR = runSession(R).Combined;
     EXPECT_TRUE(RR.violationDetected())
@@ -249,7 +249,7 @@ TEST(InterProcSoundness, AttackAndBugBenchSuitesStayDetected) {
     EXPECT_FALSE(RR.attackLanded()) << A.Name;
   }
   for (const BugCase &Bug : bugbenchSuite()) {
-    BuildResult R =
+    PipelineResult R =
         buildSpec(Bug.Source, "optimize,softbound,checkopt(interproc)");
     RunResult RR = runSession(R).Combined;
     EXPECT_TRUE(RR.violationDetected())
@@ -268,9 +268,9 @@ TEST(InterProcPrecision, CalleeChecksElidedWhenEverySiteProves) {
                     "  q[0] = 1; q[1] = 2;\n"
                     "  return take(q);\n"
                     "}";
-  BuildResult Off =
+  PipelineResult Off =
       buildSpec(Src, "optimize,softbound,checkopt(redundant,range,hoist)");
-  BuildResult On = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   EXPECT_GE(On.Pipeline.CheckOpt.InterProcCalleeElided, 2u)
       << "both callee loads are caller-proven";
 
@@ -295,7 +295,7 @@ TEST(InterProcPrecision, CallerRecheckElidedViaMustCheckSummary) {
                     "  q[1] = 5;\n"
                     "  return a + q[0];\n"
                     "}";
-  BuildResult On = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   EXPECT_GE(On.Pipeline.CheckOpt.InterProcCallerElided, 1u);
   RunResult RR = runSession(On).Combined;
   ASSERT_TRUE(RR.ok()) << RR.Message;
@@ -312,7 +312,7 @@ TEST(InterProcPrecision, ReturnSummarySeedsCallerFacts) {
                     "  int* q = mk();\n"
                     "  return q[0];\n"
                     "}";
-  BuildResult On = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   EXPECT_GE(On.Pipeline.CheckOpt.InterProcRetSummaries, 1u);
   EXPECT_GE(On.Pipeline.CheckOpt.InterProcCallerElided, 1u)
       << "q[0] was checked against the returned bounds inside mk";
@@ -333,9 +333,9 @@ TEST(InterProcPrecision, GuardedGlobalIndexElidedByRanges) {
                     "  }\n"
                     "  return (int)(s % 7);\n"
                     "}";
-  BuildResult Off =
+  PipelineResult Off =
       buildSpec(Src, "optimize,softbound,checkopt(redundant,range,hoist)");
-  BuildResult On = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   EXPECT_GE(On.Pipeline.CheckOpt.InterProcRangeElided, 1u);
   RunResult ROff = runSession(Off).Combined;
   RunResult ROn = runSession(On).Combined;
@@ -354,7 +354,7 @@ TEST(InterProcPrecision, ArgumentRangesPropagateThroughRecursion) {
                     "  return depth2(size / 2) + 1;\n"
                     "}\n"
                     "int main() { return depth2(64); }";
-  BuildResult On = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   // (The store side of `+=` is already RCE'd as dominated by the load's
   // check; the survivor settles through the propagated argument range.)
   EXPECT_GE(On.Pipeline.CheckOpt.InterProcRangeElided, 1u);
@@ -575,10 +575,10 @@ TEST(InterProcAcceptance, FewerDynamicChecksOnRecursiveWorkloads) {
         W = &Cand;
     ASSERT_NE(W, nullptr) << Name;
 
-    BuildResult Off = buildSpec(W->Source,
-                                "optimize,softbound,checkopt(redundant,"
-                                "range,hoist)");
-    BuildResult On = buildSpec(W->Source, "optimize,softbound,checkopt");
+    PipelineResult Off = buildSpec(W->Source,
+                                   "optimize,softbound,checkopt(redundant,"
+                                   "range,hoist)");
+    PipelineResult On = buildSpec(W->Source, "optimize,softbound,checkopt");
     RunResult ROff = runSession(Off).Combined;
     RunResult ROn = runSession(On).Combined;
     ASSERT_TRUE(ROff.ok()) << Name << ": " << ROff.Message;

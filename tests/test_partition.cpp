@@ -43,12 +43,12 @@ using namespace softbound;
 
 namespace {
 
-BuildResult buildSpec(const std::string &Src, const std::string &Spec) {
+PipelineResult buildSpec(const std::string &Src, const std::string &Spec) {
   PipelinePlan Plan;
   Plan.frontend(Src);
   std::string Err;
   EXPECT_TRUE(Plan.appendSpec(Spec, &Err)) << Err;
-  BuildResult R = Plan.build();
+  PipelineResult R = Plan.build();
   EXPECT_TRUE(R.ok()) << R.errorText();
   return R;
 }
@@ -289,7 +289,7 @@ TEST(PartitionLattice, FunctionPointerTableMembersStayInstrumented) {
                     "  for (int i = 0; i < 2; i++) s += tab[i](5);\n"
                     "  return s;\n"
                     "}";
-  BuildResult R = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult R = buildSpec(Src, "optimize,softbound,checkopt");
   const CheckOptStats &S = R.Pipeline.CheckOpt;
   for (const char *Name : {"one", "two"}) {
     const PartitionVerdict *V = verdictFor(S, Name);
@@ -408,8 +408,8 @@ TEST(PartitionReconstruction, NullInitStoreIntoFreshMallocElided) {
                     "  n->next = 0;\n"
                     "  return n->v;\n"
                     "}";
-  BuildResult Off = buildSpec(Src, NoPartitionSpec);
-  BuildResult On = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult Off = buildSpec(Src, NoPartitionSpec);
+  PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   EXPECT_GE(On.Pipeline.CheckOpt.PartitionMetaStoresRemoved, 1u);
 
   RunResult ROff = runSession(Off).Combined;
@@ -431,7 +431,7 @@ TEST(PartitionReconstruction, InterveningCallBlocksTheElision) {
                     "  m->next = 0;\n"
                     "  return 0;\n"
                     "}";
-  BuildResult On = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   EXPECT_EQ(On.Pipeline.CheckOpt.PartitionMetaStoresRemoved, 0u);
 }
 
@@ -446,7 +446,7 @@ TEST(PartitionReconstruction, ArgumentRootedNullStoreIsKept) {
                     "  clearnext(&n);\n"
                     "  return 0;\n"
                     "}";
-  BuildResult On = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   const CheckOptStats &S = On.Pipeline.CheckOpt;
   const PartitionVerdict *V = verdictFor(S, "clearnext");
   ASSERT_NE(V, nullptr);
@@ -461,8 +461,8 @@ TEST(PartitionReconstruction, ArgumentRootedNullStoreIsKept) {
 TEST(PartitionAcceptance, ReducesMetadataOpsOnPointerChasingWorkloads) {
   for (const char *Name : {"bh", "perimeter", "treeadd"}) {
     const Workload &W = mustFindWorkload(Name);
-    BuildResult Off = buildSpec(W.Source, NoPartitionSpec);
-    BuildResult On = buildSpec(W.Source, "optimize,softbound,checkopt");
+    PipelineResult Off = buildSpec(W.Source, NoPartitionSpec);
+    PipelineResult On = buildSpec(W.Source, "optimize,softbound,checkopt");
     EXPECT_GE(On.Pipeline.CheckOpt.PartitionProven, 1u) << Name;
 
     RunResult ROff = runSession(Off).Combined;
@@ -483,7 +483,7 @@ TEST(PartitionSoundness, AttackAndBugBenchSuitesStayDetected) {
   // check-optimization help, so it must preserve every detection by
   // itself.
   for (const AttackCase &A : attackSuite()) {
-    BuildResult R =
+    PipelineResult R =
         buildSpec(A.Source, "optimize,softbound,checkopt(partition)");
     RunResult RR = runSession(R).Combined;
     EXPECT_TRUE(RR.violationDetected())
@@ -491,7 +491,7 @@ TEST(PartitionSoundness, AttackAndBugBenchSuitesStayDetected) {
     EXPECT_FALSE(RR.attackLanded()) << A.Name;
   }
   for (const BugCase &Bug : bugbenchSuite()) {
-    BuildResult R =
+    PipelineResult R =
         buildSpec(Bug.Source, "optimize,softbound,checkopt(partition)");
     RunResult RR = runSession(R).Combined;
     EXPECT_TRUE(RR.violationDetected())
@@ -515,7 +515,7 @@ TEST(PartitionContract, StrippedModuleRefusesCustomEntry) {
                     "  *pp = a;\n"
                     "  return use(pp);\n"
                     "}";
-  BuildResult On = buildSpec(Src, "optimize,softbound,checkopt");
+  PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   const PartitionVerdict *V = verdictFor(On.Pipeline.CheckOpt, "use");
   ASSERT_NE(V, nullptr);
   EXPECT_TRUE(V->FullyProven) << V->Reason;

@@ -24,17 +24,22 @@ struct ModeCase {
   FacilityKind Facility;
 };
 
+/// The default instrumented pipeline over \p Src, SoftBound configured by
+/// \p Cfg.
+PipelinePlan sbPlan(const std::string &Src, SoftBoundConfig Cfg = {}) {
+  PipelinePlan Plan;
+  Plan.frontend(Src).optimize().softbound(Cfg).checkOpt();
+  return Plan;
+}
+
 /// Builds + runs under a given mode/facility.
 RunResult runSB(const std::string &Src, CheckMode Mode,
                 FacilityKind Facility = FacilityKind::Shadow,
                 std::vector<int64_t> Args = {}) {
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = Mode;
   RunRequest R;
   R.Facility = Facility;
   R.Args = std::move(Args);
-  RunResult Out = runSession(planFromBuildOptions(Src, B), R).Combined;
+  RunResult Out = runSession(sbPlan(Src, {.Mode = Mode}), R).Combined;
   EXPECT_NE(Out.Message.substr(0, 12), "build failed") << Out.Message;
   return Out;
 }
@@ -42,7 +47,7 @@ RunResult runSB(const std::string &Src, CheckMode Mode,
 RunResult runPlain(const std::string &Src, std::vector<int64_t> Args = {}) {
   RunRequest R;
   R.Args = std::move(Args);
-  return runSession(planFromBuildOptions(Src, BuildOptions{}), R).Combined;
+  return runSession(PipelinePlan().frontend(Src).optimize(), R).Combined;
 }
 
 //===----------------------------------------------------------------------===//
@@ -169,10 +174,7 @@ TEST(SoftBoundDetect, GlobalArrayOverflow) {
                     "  for (int i = 0; i < n; i++) table[i] = i;\n"
                     "  return 0;\n"
                     "}";
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = CheckMode::Full;
-  BuildResult Prog = buildProgram(Src, B);
+  PipelineResult Prog = sbPlan(Src).build();
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   RunRequest R;
   R.Args = {16};
@@ -200,11 +202,7 @@ TEST(SoftBoundDetect, SubObjectOverflowCaught) {
 
   // With bound shrinking disabled (the MSCC-like configuration) the
   // overflow stays inside the struct object: silent data corruption.
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = CheckMode::Full;
-  B.SB.ShrinkBounds = false;
-  RunResult R = runSession(planFromBuildOptions(Src, B)).Combined;
+  RunResult R = runSession(sbPlan(Src, {.ShrinkBounds = false})).Combined;
   EXPECT_TRUE(R.ok()) << R.Message;
   EXPECT_NE(R.ExitCode, 1000); // n.count was silently overwritten.
 }
@@ -228,10 +226,7 @@ TEST(SoftBoundDetect, SubObjectOverflowIntoFunctionPointer) {
   EXPECT_EQ(runSB(Src, CheckMode::Full).Trap, TrapKind::SpatialViolation);
 
   // Without shrinking: caught later, at the corrupted indirect call.
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.ShrinkBounds = false;
-  RunResult R = runSession(planFromBuildOptions(Src, B)).Combined;
+  RunResult R = runSession(sbPlan(Src, {.ShrinkBounds = false})).Combined;
   EXPECT_EQ(R.Trap, TrapKind::FuncPtrViolation) << trapName(R.Trap);
 }
 
@@ -349,14 +344,13 @@ TEST(SoftBoundPassStats, ChecksAndMetadataInserted) {
                     "  g->next = g;\n"
                     "  return g->next->v;\n"
                     "}";
-  BuildOptions B;
-  B.Instrument = true;
-  BuildResult Prog = buildProgram(Src, B);
+  PipelineResult Prog = sbPlan(Src).build();
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
-  EXPECT_GT(Prog.Stats.ChecksInserted, 0u);
-  EXPECT_GT(Prog.Stats.MetaLoadsInserted, 0u);
-  EXPECT_GT(Prog.Stats.MetaStoresInserted, 0u);
-  EXPECT_EQ(Prog.Stats.FunctionsTransformed, 1u);
+  const SoftBoundStats &SB = Prog.Pipeline.SB;
+  EXPECT_GT(SB.ChecksInserted, 0u);
+  EXPECT_GT(SB.MetaLoadsInserted, 0u);
+  EXPECT_GT(SB.MetaStoresInserted, 0u);
+  EXPECT_EQ(SB.FunctionsTransformed, 1u);
   // Functions are renamed with the _sb_ prefix (§3.3).
   EXPECT_NE(Prog.M->getFunction("_sb_main"), nullptr);
   EXPECT_EQ(Prog.M->getFunction("main"), nullptr);
@@ -369,17 +363,14 @@ TEST(SoftBoundPassStats, StoreOnlyInsertsFewerChecks) {
                     "  for (int i = 0; i < 16; i++) { p[i] = i; s += p[i]; }\n"
                     "  return s;\n"
                     "}";
-  BuildOptions Full, Store;
-  Full.Instrument = Store.Instrument = true;
-  Full.SB.Mode = CheckMode::Full;
-  Store.SB.Mode = CheckMode::StoreOnly;
-  BuildResult F = buildProgram(Src, Full);
-  BuildResult S = buildProgram(Src, Store);
+  PipelineResult F = sbPlan(Src).build();
+  PipelineResult S = sbPlan(Src, {.Mode = CheckMode::StoreOnly}).build();
   ASSERT_TRUE(F.ok() && S.ok());
-  EXPECT_LT(S.Stats.ChecksInserted, F.Stats.ChecksInserted);
+  EXPECT_LT(S.Pipeline.SB.ChecksInserted, F.Pipeline.SB.ChecksInserted);
   // Metadata propagation is identical in both modes (§6.3).
-  EXPECT_EQ(S.Stats.MetaLoadsInserted, F.Stats.MetaLoadsInserted);
-  EXPECT_EQ(S.Stats.MetaStoresInserted, F.Stats.MetaStoresInserted);
+  EXPECT_EQ(S.Pipeline.SB.MetaLoadsInserted, F.Pipeline.SB.MetaLoadsInserted);
+  EXPECT_EQ(S.Pipeline.SB.MetaStoresInserted,
+            F.Pipeline.SB.MetaStoresInserted);
 }
 
 TEST(SoftBoundPassStats, RedundantCheckElimination) {
@@ -390,12 +381,9 @@ TEST(SoftBoundPassStats, RedundantCheckElimination) {
                     "  p[1] = 3;\n"
                     "  return p[1];\n"
                     "}";
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.ReoptimizeAfter = true;
-  BuildResult Prog = buildProgram(Src, B);
+  PipelineResult Prog = sbPlan(Src, {.ReoptimizeAfter = true}).build();
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
-  EXPECT_GT(Prog.Stats.ChecksEliminated, 0u);
+  EXPECT_GT(Prog.Pipeline.SB.ChecksEliminated, 0u);
   RunResult R = runSession(Prog).Combined;
   EXPECT_TRUE(R.ok()) << R.Message;
   EXPECT_EQ(R.ExitCode, 3);

@@ -98,13 +98,12 @@ const char *ProfiledSource =
     "  return s;\n"
     "}";
 
-BuildResult buildInstrumented(Telemetry *T = nullptr) {
-  BuildOptions B;
-  B.Instrument = true;
-  PipelinePlan Plan = planFromBuildOptions(ProfiledSource, B);
+PipelineResult buildInstrumented(Telemetry *T = nullptr) {
+  PipelinePlan Plan;
+  Plan.frontend(ProfiledSource).optimize().softbound().checkOpt();
   if (T)
     Plan.telemetry(T, "test:");
-  BuildResult Prog = Plan.build();
+  PipelineResult Prog = Plan.build();
   EXPECT_TRUE(Prog.ok()) << Prog.errorText();
   return Prog;
 }
@@ -118,12 +117,12 @@ TEST(Telemetry, DisabledModeIsObservationFree) {
   // profile attached must agree on every deterministic counter — the
   // docs/observability.md zero-cost contract, and what keeps the CI
   // bench gate's baselines valid whether or not --profile is passed.
-  BuildResult Plain = buildInstrumented();
+  PipelineResult Plain = buildInstrumented();
   RunResult RPlain = runSession(Plain).Combined;
 
   Telemetry Telem;
   SiteProfile Prof;
-  BuildResult Observed = buildInstrumented(&Telem);
+  PipelineResult Observed = buildInstrumented(&Telem);
   RunRequest Opts;
   Opts.Telem = &Telem;
   Opts.ProfileOut = &Prof;
@@ -157,8 +156,8 @@ TEST(Telemetry, DisabledModeIsObservationFree) {
 //===----------------------------------------------------------------------===//
 
 TEST(Telemetry, SiteIdsAreDeterministicAcrossBuilds) {
-  BuildResult A = buildInstrumented();
-  BuildResult B = buildInstrumented();
+  PipelineResult A = buildInstrumented();
+  PipelineResult B = buildInstrumented();
   const auto &SA = A.M->checkSites();
   const auto &SB = B.M->checkSites();
   ASSERT_FALSE(SA.empty());
@@ -183,7 +182,7 @@ TEST(Telemetry, SiteIdsAreDeterministicAcrossBuilds) {
 }
 
 TEST(Telemetry, SiteProfilesAreIdenticalAcrossRuns) {
-  BuildResult Prog = buildInstrumented();
+  PipelineResult Prog = buildInstrumented();
   auto RunProfiled = [&] {
     SiteProfile P;
     RunRequest Opts;
@@ -205,7 +204,7 @@ TEST(Telemetry, SiteProfilesAreIdenticalAcrossRuns) {
 }
 
 TEST(Telemetry, SiteTagsPrintAndStayStable) {
-  BuildResult Prog = buildInstrumented();
+  PipelineResult Prog = buildInstrumented();
   std::string Printed = printModule(*Prog.M);
   // Every assigned site appears as a ", site N" tag on its instruction,
   // and printing is stable (the IRPrinter golden-file contract).
@@ -264,7 +263,7 @@ TEST(Telemetry, HashProbeHistogramOnCraftedCollisions) {
 TEST(Telemetry, ChromeTraceJsonIsWellFormed) {
   Telemetry Telem;
   SiteProfile Prof;
-  BuildResult Prog = buildInstrumented(&Telem);
+  PipelineResult Prog = buildInstrumented(&Telem);
   RunRequest Opts;
   Opts.Telem = &Telem;
   Opts.ProfileOut = &Prof;

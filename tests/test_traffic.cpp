@@ -48,13 +48,14 @@ TrafficConfig smallConfig(unsigned Requests, unsigned AttackPerMille) {
   return C;
 }
 
-BuildResult buildTraffic(const std::string &Src, CheckMode Mode,
-                         bool CheckOpt = true) {
-  BuildOptions B;
-  B.Instrument = true;
-  B.SB.Mode = Mode;
-  B.CheckOpt.Enable = CheckOpt;
-  return buildProgram(Src, B);
+PipelineResult buildTraffic(const std::string &Src, CheckMode Mode,
+                            bool CheckOpt = true) {
+  return PipelinePlan()
+      .frontend(Src)
+      .optimize()
+      .softbound({.Mode = Mode})
+      .checkOpt({.Enable = CheckOpt})
+      .build();
 }
 
 RunRequest sessionReq(unsigned Lanes, unsigned Shards = 1) {
@@ -117,7 +118,7 @@ TEST(TrafficSchedule, SameSeedSameStreamDifferentSeedDiffers) {
 TEST(TrafficSchedule, DriverRunsAreCounterIdentical) {
   for (ServerKind K : BothServers) {
     TrafficSchedule S = TrafficSchedule::generate(K, smallConfig(120, 60));
-    BuildResult Prog = buildTraffic(S.driverSource(true), CheckMode::Full);
+    PipelineResult Prog = buildTraffic(S.driverSource(true), CheckMode::Full);
     SessionResult R1 = runSession(Prog, sessionReq(1));
     SessionResult R2 = runSession(Prog, sessionReq(1));
     ASSERT_TRUE(R1.ok()) << R1.Combined.Message;
@@ -143,7 +144,7 @@ TEST(TrafficDetection, ZeroMissedAtEveryLaneCount) {
     TrafficSchedule S = TrafficSchedule::generate(K, smallConfig(160, 80));
     ASSERT_GT(S.adversarialCount(), 0u);
     for (CheckMode Mode : {CheckMode::Full, CheckMode::StoreOnly}) {
-      BuildResult Prog = buildTraffic(S.driverSource(true), Mode);
+      PipelineResult Prog = buildTraffic(S.driverSource(true), Mode);
       for (const LaneSetup &L : Setups) {
         SessionResult R = runSession(Prog, sessionReq(L.Lanes, L.Shards));
         // Every violation is contained inside its request window: the
@@ -170,9 +171,9 @@ TEST(TrafficDetection, BenignTrafficIsFalsePositiveFree) {
   for (ServerKind K : BothServers) {
     TrafficSchedule S = TrafficSchedule::generate(K, smallConfig(150, 0));
     ASSERT_EQ(S.adversarialCount(), 0u);
-    BuildOptions Plain;
-    SessionResult P =
-        runSession(buildProgram(S.driverSource(false), Plain), sessionReq(1));
+    SessionResult P = runSession(
+        PipelinePlan().frontend(S.driverSource(false)).optimize(),
+        sessionReq(1));
     SessionResult F = runSession(
         buildTraffic(S.driverSource(false), CheckMode::Full), sessionReq(1));
     ASSERT_TRUE(P.ok());
@@ -323,7 +324,7 @@ TEST(TrafficSeqlock, ReadPhaseAcquiresNoLocksUnderChurnTraffic) {
   TrafficConfig C = smallConfig(200, 50);
   C.SessionMin = C.SessionMax = 1;
   TrafficSchedule S = TrafficSchedule::generate(ServerKind::Ftp, C);
-  BuildResult Prog = buildTraffic(S.driverSource(true), CheckMode::Full);
+  PipelineResult Prog = buildTraffic(S.driverSource(true), CheckMode::Full);
 
   // Deterministic 1-lane run over a probed facility: every lock
   // acquisition belongs to the write path — lookups take none — while
@@ -367,7 +368,7 @@ TEST(TrafficLanes, HttpLaneStreamsMatchTheSingleLaneRun) {
   // the 1-lane stream even under concurrent execution.
   TrafficSchedule S =
       TrafficSchedule::generate(ServerKind::Http, smallConfig(120, 60));
-  BuildResult Prog = buildTraffic(S.driverSource(true), CheckMode::Full);
+  PipelineResult Prog = buildTraffic(S.driverSource(true), CheckMode::Full);
   SessionResult One = runSession(Prog, sessionReq(1));
   SessionResult Four = runSession(Prog, sessionReq(4, 4));
   ASSERT_TRUE(One.ok());

@@ -21,6 +21,18 @@ using namespace softbound;
 
 namespace {
 
+/// Builds \p Src through the plain (uninstrumented) pipeline and runs it.
+RunResult runPlain(const std::string &Src, const RunRequest &Req = {}) {
+  return runSession(PipelinePlan().frontend(Src).optimize(), Req).Combined;
+}
+
+/// Builds \p Src through the default instrumented pipeline and runs it.
+RunResult runInstrumented(const std::string &Src) {
+  return runSession(
+             PipelinePlan().frontend(Src).optimize().softbound().checkOpt())
+      .Combined;
+}
+
 //===----------------------------------------------------------------------===//
 // SimMemory
 //===----------------------------------------------------------------------===//
@@ -102,63 +114,59 @@ TEST(SimMemory, InvalidFreeReported) {
 TEST(VMControlData, GarbageReturnAddressIsACrash) {
   // Corrupting the return word with a non-function value is a crash
   // (CorruptedReturn), not a hijack.
-  RunResult R = runSession(planFromBuildOptions("int f() {\n"
-                              "  char buf[16];\n"
-                              "  long* w = (long*)buf;\n"
-                              "  w[3] = 0x41414141;\n"
-                              "  return 1;\n"
-                              "}\n"
-                              "int main() { return f(); }",
-                              BuildOptions{}))
-                    .Combined;
+  RunResult R = runPlain("int f() {\n"
+                         "  char buf[16];\n"
+                         "  long* w = (long*)buf;\n"
+                         "  w[3] = 0x41414141;\n"
+                         "  return 1;\n"
+                         "}\n"
+                         "int main() { return f(); }");
   EXPECT_EQ(R.Trap, TrapKind::CorruptedReturn) << trapName(R.Trap);
 }
 
 TEST(VMControlData, FunctionAddressInReturnSlotHijacks) {
-  RunResult R = runSession(planFromBuildOptions("int pay(int x) { return x; }\n"
-      "int f() {\n"
-      "  char buf[16];\n"
-      "  long* w = (long*)buf;\n"
-      "  w[3] = (long)pay;\n"
-      "  return 1;\n"
-      "}\n"
-      "int main() { return f(); }", BuildOptions{})).Combined;
+  RunResult R = runPlain("int pay(int x) { return x; }\n"
+                         "int f() {\n"
+                         "  char buf[16];\n"
+                         "  long* w = (long*)buf;\n"
+                         "  w[3] = (long)pay;\n"
+                         "  return 1;\n"
+                         "}\n"
+                         "int main() { return f(); }");
   EXPECT_EQ(R.Trap, TrapKind::Hijacked);
   EXPECT_EQ(R.HijackTarget, "pay");
 }
 
 TEST(VMControlData, CorruptedJmpBufMagicTraps) {
-  RunResult R = runSession(planFromBuildOptions("long jb[4];\n"
-                              "int main() {\n"
-                              "  if (setjmp(jb) != 0) return 7;\n"
-                              "  jb[0] = 12345;\n" // Smash the magic.
-                              "  longjmp(jb, 1);\n"
-                              "  return 0;\n"
-                              "}", BuildOptions{})).Combined;
+  RunResult R = runPlain("long jb[4];\n"
+                         "int main() {\n"
+                         "  if (setjmp(jb) != 0) return 7;\n"
+                         "  jb[0] = 12345;\n" // Smash the magic.
+                         "  longjmp(jb, 1);\n"
+                         "  return 0;\n"
+                         "}");
   EXPECT_EQ(R.Trap, TrapKind::CorruptedJmpBuf);
 }
 
 TEST(VMControlData, LongjmpToDeadFrameTraps) {
-  RunResult R = runSession(planFromBuildOptions("long jb[4];\n"
-                              "int arm() { return setjmp(jb); }\n"
-                              "int main() {\n"
-                              "  arm();\n" // The armed frame returns.
-                              "  longjmp(jb, 1);\n"
-                              "  return 0;\n"
-                              "}", BuildOptions{})).Combined;
+  RunResult R = runPlain("long jb[4];\n"
+                         "int arm() { return setjmp(jb); }\n"
+                         "int main() {\n"
+                         "  arm();\n" // The armed frame returns.
+                         "  longjmp(jb, 1);\n"
+                         "  return 0;\n"
+                         "}");
   EXPECT_EQ(R.Trap, TrapKind::CorruptedJmpBuf);
 }
 
 TEST(VMControlData, DeepRecursionHitsStackGuard) {
-  RunResult R = runSession(planFromBuildOptions("int down(int n) {\n"
-                              "  long pad[64];\n"
-                              "  pad[0] = n;\n"
-                              "  if (n == 0) return 0;\n"
-                              "  return down(n - 1) + (int)pad[0];\n"
-                              "}\n"
-                              "int main() { return down(1000000); }",
-                              BuildOptions{}))
-                    .Combined;
+  RunResult R = runPlain("int down(int n) {\n"
+                         "  long pad[64];\n"
+                         "  pad[0] = n;\n"
+                         "  if (n == 0) return 0;\n"
+                         "  return down(n - 1) + (int)pad[0];\n"
+                         "}\n"
+                         "int main() { return down(1000000); }");
   EXPECT_EQ(R.Trap, TrapKind::StackOverflow);
 }
 
@@ -171,11 +179,8 @@ TEST(VMCounters, CycleModelComponentsAdd) {
                     "  q = p;\n"
                     "  return (int)q[9];\n"
                     "}";
-  RunResult Plain =
-      runSession(planFromBuildOptions(Src, BuildOptions{})).Combined;
-  BuildOptions B;
-  B.Instrument = true;
-  RunResult SB = runSession(planFromBuildOptions(Src, B)).Combined;
+  RunResult Plain = runPlain(Src);
+  RunResult SB = runInstrumented(Src);
   ASSERT_TRUE(Plain.ok() && SB.ok()) << SB.Message;
   EXPECT_EQ(SB.ExitCode, 9);
   uint64_t Expected = SB.Counters.Insts + 3 * SB.Counters.Checks +
@@ -187,13 +192,11 @@ TEST(VMCounters, CycleModelComponentsAdd) {
 }
 
 TEST(VMCounters, MaxFrameDepthTracksRecursion) {
-  RunResult R = runSession(planFromBuildOptions("int f(int n) {\n"
-                              "  if (n == 0) return 0;\n"
-                              "  return f(n - 1) + 1;\n"
-                              "}\n"
-                              "int main() { return f(40); }",
-                              BuildOptions{}))
-                    .Combined;
+  RunResult R = runPlain("int f(int n) {\n"
+                         "  if (n == 0) return 0;\n"
+                         "  return f(n - 1) + 1;\n"
+                         "}\n"
+                         "int main() { return f(40); }");
   EXPECT_EQ(R.ExitCode, 40);
   EXPECT_GE(R.Counters.MaxFrameDepth, 41u);
 }
@@ -205,25 +208,25 @@ TEST(VMCounters, MaxFrameDepthTracksRecursion) {
 TEST(VMLimits, StepLimitTrapsARunawayLoop) {
   RunRequest Req;
   Req.StepLimit = 1000;
-  RunResult R = runSession(planFromBuildOptions("int main() {\n"
-                                                "  int i = 0;\n"
-                                                "  while (1) i = i + 1;\n"
-                                                "  return i;\n"
-                                                "}",
-                                                BuildOptions{}),
-                           Req)
-                    .Combined;
+  RunResult R = runPlain("int main() {\n"
+                         "  int i = 0;\n"
+                         "  while (1) i = i + 1;\n"
+                         "  return i;\n"
+                         "}",
+                         Req);
   EXPECT_EQ(R.Trap, TrapKind::StepLimit) << trapName(R.Trap);
   EXPECT_EQ(R.Counters.Insts, Req.StepLimit + 1);
 }
 
 TEST(VMLimits, OutputStopsAtTheCap) {
-  BuildResult Prog = buildProgram("int main() {\n"
-                                  "  for (int i = 0; i < 100; i++)\n"
-                                  "    print_char(120);\n"
-                                  "  return 3;\n"
-                                  "}",
-                                  BuildOptions{});
+  PipelineResult Prog = PipelinePlan()
+                            .frontend("int main() {\n"
+                                      "  for (int i = 0; i < 100; i++)\n"
+                                      "    print_char(120);\n"
+                                      "  return 3;\n"
+                                      "}")
+                            .optimize()
+                            .build();
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
   VMConfig Cfg;
   Cfg.Wrappers = WrapperMode::None;
@@ -233,6 +236,35 @@ TEST(VMLimits, OutputStopsAtTheCap) {
   EXPECT_TRUE(R.ok()) << R.Message;
   EXPECT_EQ(R.ExitCode, 3);
   EXPECT_EQ(R.Output, std::string(10, 'x'));
+}
+
+TEST(VMLimits, FrameLimitTrapsDeepRecursion) {
+  // 64 frames this small stay far from the stack guard, so the frame
+  // count is what stops the recursion.
+  PipelineResult Prog = PipelinePlan()
+                            .frontend("int f(int n) {\n"
+                                      "  if (n == 0) return 0;\n"
+                                      "  return 1 + f(n - 1);\n"
+                                      "}\n"
+                                      "int main() { return f(1000); }")
+                            .optimize()
+                            .build();
+  ASSERT_TRUE(Prog.ok()) << Prog.errorText();
+  VMConfig Cfg;
+  Cfg.Wrappers = WrapperMode::None;
+  Cfg.MaxFrames = 64;
+  RunResult R = VM(*Prog.M, Cfg).run("main", {});
+  EXPECT_EQ(R.Trap, TrapKind::StackOverflow) << trapName(R.Trap);
+  EXPECT_NE(R.Message.find("frame limit exceeded"), std::string::npos)
+      << R.Message;
+  EXPECT_EQ(R.Counters.MaxFrameDepth, 64u);
+
+  // The default limit leaves room for the whole recursion.
+  VMConfig Default;
+  Default.Wrappers = WrapperMode::None;
+  RunResult Full = VM(*Prog.M, Default).run("main", {});
+  EXPECT_TRUE(Full.ok()) << trapName(Full.Trap) << ": " << Full.Message;
+  EXPECT_EQ(Full.ExitCode, 1000);
 }
 
 TEST(VMLimits, MallocBeyondTheHeapReturnsNull) {
@@ -247,12 +279,10 @@ TEST(VMLimits, MallocBeyondTheHeapReturnsNull) {
                     "  return 7;\n"
                     "}";
   ASSERT_GT(100000000u, VMConfig{}.HeapSize);
-  BuildOptions Instrumented;
-  Instrumented.Instrument = true;
-  for (const BuildOptions &B : {BuildOptions{}, Instrumented}) {
-    RunResult R = runSession(planFromBuildOptions(Src, B)).Combined;
+  for (bool Instrumented : {false, true}) {
+    RunResult R = Instrumented ? runInstrumented(Src) : runPlain(Src);
     EXPECT_TRUE(R.ok()) << trapName(R.Trap) << ": " << R.Message;
-    EXPECT_EQ(R.ExitCode, 7) << "instrumented=" << B.Instrument;
+    EXPECT_EQ(R.ExitCode, 7) << "instrumented=" << Instrumented;
   }
 }
 
