@@ -10,23 +10,24 @@
 /// there. Two implementations, matching the paper: an open hash table
 /// (~9 x86 instructions per lookup) and a tag-less shadow space (~5).
 ///
-/// Facility API v2 (docs/runtime.md): value-returning `Bounds lookup`,
-/// batch `lookupN`/`updateN` entry points, and an optional concurrent
-/// mode — the address space is divided into power-of-two stripes, each
-/// stripe owned by one shard, so N VM lanes can share one facility. The
-/// default (`ConcurrencyModel::SingleThread`, one shard) takes no locks
-/// at all and is bit-for-bit identical to the pre-v2 behaviour the
-/// bench gate's baselines were recorded against.
+/// This header holds the facility interface (docs/runtime.md) and the
+/// synchronization pieces its concurrent mode is built from: the stripe
+/// lock (ShardLock, ShardExclusiveGuard) and the stripe seqlock
+/// (StripeSeqlock, SeqlockWriteScope). The address space is divided into
+/// 2^ShardStripeLog2-byte stripes, each owned by one shard, so N VM lanes
+/// can share one facility. StripedFacility.h implements the stripe policy
+/// once for both facilities; each keeps only its storage format.
 ///
-/// The concurrent mode (`ConcurrencyModel::Concurrent`): updates and
-/// range operations take the stripe's exclusive ShardLock, and lookups
-/// acquire no mutex at all. Each stripe carries a seqlock
-/// (StripeSeqlock): writers bump an atomic sequence odd before mutating
-/// and even after; readers copy the entry between two sequence reads and
-/// retry when the window was dirty. Structures a reader traverses are
-/// published RCU-style (hash tables retire grown generations, shadow
-/// pages install fully-initialized behind a release store), so a racing
-/// reader can observe stale — but never torn or dangling — state.
+/// The default (`ConcurrencyModel::SingleThread`, one shard) takes no
+/// locks at all; it is the mode the bench gate's baselines run under. The
+/// concurrent mode (`ConcurrencyModel::Concurrent`): updates and range
+/// operations take the stripe's exclusive ShardLock, and lookups acquire
+/// no mutex at all — they copy the entry inside a seqlock read window and
+/// retry when a writer overlapped it. Structures a reader traverses are
+/// published RCU-style (hash tables retire grown generations, shadow pages
+/// and directory leaves install fully initialized behind a release
+/// store), so a racing reader can observe stale — but never torn or
+/// dangling — state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -254,6 +255,11 @@ private:
 ///    `copyRange`) are atomic per stripe but not across stripes — a
 ///    concurrent reader may observe a partially cleared/copied range,
 ///    which matches what a real multithreaded memcpy/free exposes.
+///  - A facility may have a finite reach. The shadow space indexes
+///    addresses below 2^ShadowSpaceMetadata::ReachLog2 only; beyond it a
+///    lookup returns the null bounds, an update is dropped and range
+///    operations skip the slots. This fails closed, and no pointer can
+///    live there: the VM's memory access at such an address faults first.
 ///  - `reset()` and destruction require quiescence (no concurrent
 ///    callers): they reclaim the RCU-retired structures lock-free
 ///    readers may still be traversing otherwise.
@@ -300,8 +306,10 @@ public:
   /// [Dst, Dst+Size) — the metadata half of an instrumented memcpy (§5.2).
   /// Destination slots whose source slot carries no metadata are cleared
   /// (counted in MetadataStats::Clears, not in the return value), so stale
-  /// bounds cannot leak into the copied region. Returns the number of
-  /// entries copied.
+  /// bounds cannot leak into the copied region. Whether a source slot
+  /// carries metadata is the facility's rule: the hash table copies an
+  /// entry written with null bounds, while the shadow space cannot tell
+  /// one from an empty slot. Returns the number of entries copied.
   virtual uint64_t copyRange(uint64_t Dst, uint64_t Src, uint64_t Size) = 0;
 
   /// Simulated instruction cost of one lookup (paper §5.1: hash ≈ 9, shadow
@@ -346,14 +354,6 @@ public:
   virtual void flushTelemetry() {}
 
 protected:
-  /// Normalized shard count: power of two, at least 1, capped at 1 << 16.
-  static unsigned normalizeShards(unsigned Requested) {
-    unsigned N = 1;
-    while (N < Requested && N < (1u << 16))
-      N <<= 1;
-    return N;
-  }
-
   Telemetry *Telem = nullptr;
   std::string TelemetryPrefix;
 };

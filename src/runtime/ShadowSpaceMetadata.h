@@ -8,151 +8,119 @@
 /// The shadow-space implementation of the metadata facility (§5.1): a region
 /// of the (simulated) virtual address space large enough that collisions
 /// cannot occur, so entries carry no tag and no tag check is needed — a
-/// lookup models ~5 x86 instructions (shift, mask, add, two loads). Pages
-/// are materialized on demand, modelling mmap's zero-fill-on-demand.
+/// lookup models ~5 x86 instructions (shift, mask, add, two loads).
 ///
-/// Sharding (facility API v2): shadow pages span exactly one address
-/// stripe (2^ShardStripeLog2 bytes), so each shard owns whole pages and
-/// a page never splits across stripe locks. The default single-shard,
-/// SingleThread configuration behaves exactly like the pre-v2 space.
+/// The shadow is a two-level page directory, as in the SoftBound runtime's
+/// trie. A page holds one {base, bound} pair per 8-byte slot of one
+/// 2^ShardStripeLog2-byte stripe, so each page belongs to exactly one
+/// shard. A leaf holds PagesPerLeaf page pointers (64 MB of address), and
+/// the top level is a fixed array of Leaves leaf pointers, so the
+/// directory reaches 2^ReachLog2 bytes. A lookup is two acquire loads and
+/// an index. Pages and leaves are materialized on first write, modelling
+/// mmap's zero-fill-on-demand.
 ///
-/// Concurrent model: lookups take no lock, and pages are published
-/// RCU-style — a writer installs a fully-initialized (zero-filled) page
-/// node at the head of its bucket chain with a release store, and a
-/// reader acquire-loads the head and walks the immutable chain, so a
-/// page-miss racing a materialization sees either no page (null bounds)
-/// or a complete one, never a torn node. Slot words are relaxed atomics
-/// and the per-stripe seqlock (StripeSeqlock) validates the copied
-/// {base, bound} pair against concurrent in-place updates.
+/// Addresses at or above 2^ReachLog2 fail closed: lookups return the null
+/// bounds, updates are dropped and range operations skip them. No pointer
+/// can live there — every simulated segment ends far below.
+///
+/// Concurrent model: pages are published RCU-style. The writer, holding
+/// the page's shard lock, zero-fills a page and then release-stores it
+/// into its leaf; a leaf is installed with a compare-exchange, the only
+/// step writers of different shards can race on. A lookup racing either
+/// sees nothing yet (the null bounds) or the finished structure. Slot
+/// words are relaxed atomics and the stripe's seqlock validates the copied
+/// pair against in-place updates.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SOFTBOUND_RUNTIME_SHADOWSPACEMETADATA_H
 #define SOFTBOUND_RUNTIME_SHADOWSPACEMETADATA_H
 
-#include "runtime/MetadataFacility.h"
+#include "runtime/StripedFacility.h"
 
 #include <array>
-#include <memory>
-#include <vector>
 
 namespace softbound {
 
+/// One shadow-space stripe: the pages it has materialized.
+struct ShadowSpaceShard : Stripe {
+  uint64_t PageCount = 0; ///< Written under the stripe lock.
+};
+
 /// Demand-paged, tag-less shadow of the simulated address space; one
 /// {base, bound} pair per 8-byte pointer slot.
-class ShadowSpaceMetadata : public MetadataFacility {
+class ShadowSpaceMetadata
+    : public StripedFacility<ShadowSpaceMetadata, ShadowSpaceShard> {
 public:
-  explicit ShadowSpaceMetadata(FacilityOptions Options = {});
+  /// log2 of the directory's reach: addresses at or above 2^ReachLog2 fail
+  /// closed.
+  static constexpr unsigned ReachLog2 = 36;
 
-  using MetadataFacility::update;
+  explicit ShadowSpaceMetadata(FacilityOptions Options = {});
+  /// Frees the directory's leaves and pages.
+  ~ShadowSpaceMetadata() override;
+  ShadowSpaceMetadata(const ShadowSpaceMetadata &) = delete;
+  ShadowSpaceMetadata &operator=(const ShadowSpaceMetadata &) = delete;
 
   const char *name() const override { return "shadowspace"; }
-  Bounds lookup(uint64_t Addr) override;
-  void update(uint64_t Addr, Bounds B) override;
-  uint64_t clearRange(uint64_t Addr, uint64_t Size) override;
-  uint64_t copyRange(uint64_t Dst, uint64_t Src, uint64_t Size) override;
   uint64_t lookupCost() const override { return 5; }
   uint64_t updateCost() const override { return 5; }
+  /// Materialized pages only; the directory itself is not counted.
   uint64_t memoryBytes() const override;
-  void reset() override;
-  MetadataStats stats() const override;
-  unsigned shards() const override {
-    return static_cast<unsigned>(Shards.size());
-  }
-  ConcurrencyModel concurrency() const override { return Opts.Model; }
-  void flushTelemetry() override;
 
 private:
-  /// Slots per shadow page; one page shadows 8 * SlotsPerPage bytes —
-  /// exactly one address stripe (static_assert below), so pages never
-  /// straddle shards.
+  friend StripedFacility;
+  using Shard = ShadowSpaceShard;
+
+  /// Slots per shadow page; one page shadows exactly one address stripe.
   static constexpr uint64_t SlotsPerPage = 4096;
   static_assert(SlotsPerPage * 8 == (uint64_t(1) << ShardStripeLog2),
                 "a shadow page must span exactly one shard stripe");
+  /// log2 of the address range one leaf covers: 64 MB.
+  static constexpr unsigned LeafLog2 = 26;
+  static constexpr uint64_t PagesPerLeaf = uint64_t(1)
+                                           << (LeafLog2 - ShardStripeLog2);
+  static constexpr uint64_t Leaves = uint64_t(1) << (ReachLog2 - LeafLog2);
 
   /// One shadow slot. Relaxed atomics for the same reason as the hash
-  /// table's Entry: the lock-free copy may race a writer and the
-  /// seqlock discards torn pairs; plain moves on x86/ARM otherwise.
+  /// table's Entry: the lock-free copy may race a writer and the seqlock
+  /// discards torn pairs; plain moves on x86/ARM otherwise.
   struct Pair {
     std::atomic<uint64_t> Base{0};
     std::atomic<uint64_t> Bound{0};
   };
 
-  /// One materialized shadow page, linked into its bucket's chain.
-  /// Fully initialized (zero-filled slots, PageId, Next) *before* the
-  /// release store that publishes it; PageId and Next are immutable
-  /// afterwards, so readers walk the chain without synchronization
-  /// beyond the acquire on the bucket head.
-  struct PageNode {
-    PageNode(uint64_t Id, PageNode *N)
-        : PageId(Id), Slots(new Pair[SlotsPerPage]), Next(N) {}
-    uint64_t PageId;
-    std::unique_ptr<Pair[]> Slots;
-    PageNode *Next;
+  /// Page pointers for 64 MB of address. A page pointer is written once,
+  /// by the page's shard under its lock, with a release store.
+  struct Leaf {
+    std::array<std::atomic<Pair *>, PagesPerLeaf> Pages{};
   };
 
-  /// Buckets per shard for the page-pointer table. Pages are found via a
-  /// multiplicative mix of the page id, so ids that are congruent modulo
-  /// the shard count still spread across buckets.
-  static constexpr size_t PageBuckets = 64;
+  /// The slot shadowing \p Addr, or null when its page is absent or out
+  /// of reach. Safe on the lock-free read path.
+  Pair *findSlot(uint64_t Addr) const;
 
-  /// One address-range stripe: its demand-paged shadow plus lock/stats.
-  struct Shard {
-    /// Chain heads; readers acquire-load, writers (under the exclusive
-    /// lock) release-store freshly initialized nodes.
-    std::array<std::atomic<PageNode *>, PageBuckets> Buckets{};
-    /// Ownership of every node ever published. Writer-only; reclaimed at
-    /// reset()/destruction (quiescent, per the facility contract).
-    std::vector<std::unique_ptr<PageNode>> Nodes;
-    uint64_t PageCount = 0;
-    ShardLock Lock;
-    StripeSeqlock Seq;
-    std::atomic<uint64_t> Lookups{0};
-    std::atomic<uint64_t> Updates{0};
-    std::atomic<uint64_t> Clears{0};
-  };
-
-  size_t shardOf(uint64_t Addr) const {
-    return static_cast<size_t>((Addr >> ShardStripeLog2) &
-                               (Shards.size() - 1));
-  }
-
-  static size_t bucketOf(uint64_t PageId) {
-    return static_cast<size_t>((PageId * 0x9e3779b97f4a7c15ULL) >>
-                               (64 - 6)) &
-           (PageBuckets - 1);
-  }
-
-  /// The stripe lock writers (and aggregate readers) guard with, or null
-  /// in SingleThread mode.
-  const ShardLock *lockOf(const Shard &S) const {
-    return Opts.Model == ConcurrencyModel::Concurrent ? &S.Lock : nullptr;
-  }
-
-  /// The stripe seqlock writers bump, or null in SingleThread mode.
-  StripeSeqlock *seqOf(Shard &S) const {
-    return Opts.Model == ConcurrencyModel::Concurrent ? &S.Seq : nullptr;
-  }
-
-  /// Finds the page holding \p Addr's slot by walking its bucket chain.
-  /// Safe to call from the lock-free read path (acquire head, immutable
-  /// chain); returns null when the page is not materialized.
-  Pair *findSlot(const Shard &S, uint64_t Addr) const;
-
-  /// findSlot, materializing the page on a miss; caller holds the shard
-  /// exclusively (or runs SingleThread).
+  /// findSlot, materializing the leaf and page on a miss; null only out
+  /// of reach. Caller holds \p S exclusively (or runs SingleThread).
   Pair *slotFor(Shard &S, uint64_t Addr);
 
-  /// The lock-free read path: seqlock-validated copy of the slot.
-  Bounds lookupLockFree(Shard &S, uint64_t Addr);
+  // StripedFacility storage hooks.
+  Bounds readSlot(Shard &, uint64_t Addr);
+  void writeSlot(Shard &S, uint64_t Addr, Bounds B);
+  uint64_t clearSlots(Shard &, uint64_t Addr, uint64_t N);
+  /// A slot written with null bounds reads like an empty one, so only
+  /// non-null slots are present.
+  std::optional<Bounds> copySource(Shard &S, uint64_t Addr);
+  void resetStorage();
+  void flushStorageTelemetry();
 
-  FacilityOptions Opts;
-  std::vector<std::unique_ptr<Shard>> Shards;
-  std::atomic<uint64_t> ClearCalls{0};
-  std::atomic<uint64_t> ClearEntries{0};
-  std::atomic<uint64_t> CopyCalls{0};
-  std::atomic<uint64_t> CopyEntries{0};
+  /// The top level. Leaves are installed by compare-exchange and owned
+  /// here until reset()/destruction (quiescent, per the facility
+  /// contract), together with their pages.
+  std::array<std::atomic<Leaf *>, Leaves> Top{};
 };
+
+extern template class StripedFacility<ShadowSpaceMetadata, ShadowSpaceShard>;
 
 } // namespace softbound
 

@@ -14,6 +14,8 @@
 ///  - a multi-threaded update/lookup hammer loses no slots and the
 ///    per-shard statistics add up: one lock acquisition per update, one
 ///    seqlock read per lookup;
+///  - writers of different shards racing to install the same shadow
+///    directory leaf lose no page;
 ///  - a 4-lane runSession over the full Table 3 attack suite and the
 ///    Table 4 BugBench kernels misses nothing in any lane, with every
 ///    lookup on the seqlock read path;
@@ -33,12 +35,14 @@
 #include "driver/Pipeline.h"
 #include "runtime/HashTableMetadata.h"
 #include "runtime/ShadowSpaceMetadata.h"
+#include "support/Telemetry.h"
 #include "vm/VM.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -188,6 +192,55 @@ TEST(ShardedConcurrency, ParallelHammerLosesNoSlotsAndCountsLocks) {
       uint64_t A = Base + T * 8 + I * (Threads * 8);
       ASSERT_EQ(M.lookup(A), (Bounds{A + 1, A + 128})) << "T" << T << " I" << I;
     }
+}
+
+TEST(ShardedConcurrency, ShadowLeafInstallRaceLosesNoPages) {
+  // Each round, four threads released together write into one fresh
+  // 64 MB shadow-directory leaf. Thread T writes only stripes owned by
+  // shard T, so the threads hold different stripe locks and race to
+  // install the same leaf; the loser of that race must drop its copy
+  // without losing a page.
+  constexpr unsigned Threads = 4;
+  constexpr uint64_t Leaf = 1ULL << 26;
+  constexpr uint64_t Rounds = 8;
+  constexpr uint64_t StripesPerThread = 4;
+  constexpr uint64_t SlotsPerStripe = 16;
+  ShadowSpaceMetadata M(FacilityOptions{ConcurrencyModel::Concurrent, Threads});
+  Telemetry Telem;
+  M.attachTelemetry(&Telem, "facility/shadow");
+  auto SlotAddr = [](uint64_t Round, uint64_t T, uint64_t K, uint64_t I) {
+    // Stripe K * Threads + T of the round's leaf belongs to shard T.
+    return (16 + Round) * Leaf + (K * Threads + T) * Stripe + I * 8;
+  };
+
+  std::barrier Start(Threads);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (uint64_t Round = 0; Round < Rounds; ++Round) {
+        Start.arrive_and_wait();
+        for (uint64_t K = 0; K < StripesPerThread; ++K)
+          for (uint64_t I = 0; I < SlotsPerStripe; ++I) {
+            uint64_t A = SlotAddr(Round, T, K, I);
+            M.update(A, A + 1, A + 64);
+          }
+      }
+    });
+  for (auto &Th : Pool)
+    Th.join();
+
+  for (uint64_t Round = 0; Round < Rounds; ++Round)
+    for (unsigned T = 0; T < Threads; ++T)
+      for (uint64_t K = 0; K < StripesPerThread; ++K)
+        for (uint64_t I = 0; I < SlotsPerStripe; ++I) {
+          uint64_t A = SlotAddr(Round, T, K, I);
+          ASSERT_EQ(M.lookup(A), (Bounds{A + 1, A + 64}))
+              << "round " << Round << " thread " << T;
+        }
+  M.flushTelemetry();
+  EXPECT_EQ(Telem.counter("facility/shadow/pages_materialized"),
+            Rounds * Threads * StripesPerThread)
+      << "one page per distinct stripe written";
 }
 
 //===----------------------------------------------------------------------===//

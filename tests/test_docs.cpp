@@ -16,6 +16,7 @@
 
 #include "driver/PassManager.h"
 #include "runtime/MetadataFacility.h"
+#include "runtime/ShadowSpaceMetadata.h"
 #include "support/Telemetry.h"
 
 #include <fstream>
@@ -199,6 +200,16 @@ TEST(DocsDrift, RuntimeDocCurrent) {
   EXPECT_NE(Doc.find("2^" + std::to_string(ShardStripeLog2) + "-byte"),
             std::string::npos)
       << "docs/runtime.md stripe size drifted from ShardStripeLog2";
+  // The shadow directory: its reach tracks the code, and the page-chain
+  // structure it replaced is gone (spelled in pieces, as above).
+  EXPECT_NE(Doc.find("reaches 2^" +
+                     std::to_string(ShadowSpaceMetadata::ReachLog2)),
+            std::string::npos)
+      << "docs/runtime.md directory reach drifted from "
+         "ShadowSpaceMetadata::ReachLog2";
+  for (const char *Gone : {"Page" "Node", "bucket" " head"})
+    EXPECT_EQ(Doc.find(Gone), std::string::npos)
+        << "docs/runtime.md still mentions retired '" << Gone << "'";
   std::vector<std::string> Costs = driftRegion(Doc, "lock-costs");
   ASSERT_FALSE(Costs.empty())
       << "docs/runtime.md lost its drift:lock-costs table";

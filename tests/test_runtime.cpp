@@ -7,14 +7,16 @@
 /// \file
 /// Unit and property tests of the §5.1 metadata facilities: basic
 /// lookup/update semantics, range clearing and copying, hash growth and
-/// collision accounting, and an equivalence sweep using the shadow space
-/// as oracle for the hash table.
+/// collision accounting, the shadow directory's fail-closed reach, and an
+/// equivalence sweep using the shadow space as oracle for the hash table.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "runtime/HashTableMetadata.h"
 #include "runtime/ShadowSpaceMetadata.h"
 #include "support/RNG.h"
+#include "vm/SimMemory.h"
+#include "vm/VM.h"
 
 #include <gtest/gtest.h>
 
@@ -228,14 +230,55 @@ TEST(HashTableMetadata, TombstonesDoNotBreakProbing) {
   }
 }
 
+TEST(ShadowSpaceMetadata, AddressesBeyondDirectoryFailClosed) {
+  // The page directory indexes addresses below 2^ReachLog2. Beyond it a
+  // lookup yields the null bounds, an update is dropped, and range
+  // operations skip the slots instead of indexing past the top level.
+  ShadowSpaceMetadata M;
+  const uint64_t Reach = 1ULL << ShadowSpaceMetadata::ReachLog2;
+  for (uint64_t A : {Reach, uint64_t(1) << 40, UINT64_MAX - 7}) {
+    M.update(A, 0x1000, 0x1040);
+    EXPECT_TRUE(M.lookup(A).null()) << std::hex << A;
+  }
+  EXPECT_EQ(M.memoryBytes(), 0u);
+
+  // Ranges that cross the reach touch only the slots below it.
+  M.update(Reach - 8, 1, 2);
+  EXPECT_EQ(M.clearRange(Reach - 64, 128), 1u);
+  M.update(Reach - 8, 1, 2);
+  EXPECT_EQ(M.copyRange(Reach - 64, Reach, 64), 0u);
+  EXPECT_TRUE(M.lookup(Reach - 8).null())
+      << "an out-of-reach source carries no metadata";
+  M.update(Reach - 8, 1, 2);
+  EXPECT_EQ(M.copyRange(Reach + 64, Reach - 8, 16), 1u);
+  EXPECT_TRUE(M.lookup(Reach + 64).null());
+
+  // Ranges that wrap past the top of the address space end there.
+  EXPECT_EQ(M.clearRange(UINT64_MAX - 15, 64), 0u);
+  EXPECT_EQ(M.copyRange(0x2000'0000, UINT64_MAX - 15, 64), 0u);
+
+  // No pointer can live out of reach: the default VM's segments end
+  // below it, so an access there faults before it reaches the facility.
+  VMConfig C;
+  EXPECT_LE(simlayout::HeapBase + C.HeapSize, Reach);
+  EXPECT_LE(simlayout::StackBase + C.StackSize, Reach);
+}
+
 TEST(FacilityEquivalence, HashMatchesShadowOracle) {
-  // Randomized op sequence: both facilities must agree on every lookup.
+  // Randomized op sequence: both facilities must agree on every lookup,
+  // on what every range operation returns, and on the op statistics.
+  // Slots spread over three 64 MB shadow-directory leaves, two pages
+  // each, so copies cross pages and leaves.
   HashTableMetadata Hash(6);
   ShadowSpaceMetadata Shadow;
+  const uint64_t Regions[] = {0x2000'0000, 0x2400'0000, 0x7000'0000};
   RNG R(20260611);
+  auto Slot = [&R, &Regions] {
+    return Regions[R.below(3)] + (R.below(1 << 13) << 3);
+  };
   for (int Op = 0; Op < 20000; ++Op) {
-    uint64_t Addr = 0x2000'0000 + (R.below(1 << 12) << 3);
-    switch (R.below(4)) {
+    uint64_t Addr = Slot();
+    switch (R.below(5)) {
     case 0:
     case 1: {
       uint64_t Base = R.below(1 << 20) + 1;
@@ -251,14 +294,28 @@ TEST(FacilityEquivalence, HashMatchesShadowOracle) {
       ASSERT_EQ(H.Bound, S.Bound);
       break;
     }
-    default: {
+    case 3: {
       uint64_t Len = (R.below(8) + 1) * 8;
-      Hash.clearRange(Addr, Len);
-      Shadow.clearRange(Addr, Len);
+      ASSERT_EQ(Hash.clearRange(Addr, Len), Shadow.clearRange(Addr, Len))
+          << "clearRange divergence at op " << Op;
+      break;
+    }
+    default: {
+      // Every recorded bound is non-null, so both presence rules agree.
+      uint64_t Dst = Slot();
+      uint64_t Len = (R.below(16) + 1) * 8;
+      ASSERT_EQ(Hash.copyRange(Dst, Addr, Len),
+                Shadow.copyRange(Dst, Addr, Len))
+          << "copyRange divergence at op " << Op;
       break;
     }
     }
   }
+  MetadataStats H = Hash.stats(), S = Shadow.stats();
+  EXPECT_EQ(H.Lookups, S.Lookups);
+  EXPECT_EQ(H.Updates, S.Updates);
+  EXPECT_EQ(H.Clears, S.Clears)
+      << "copyRange must count the stale destination slots it clears";
 }
 
 } // namespace
