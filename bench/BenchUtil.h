@@ -28,6 +28,7 @@ namespace benchutil {
 /// One measured execution.
 struct Measurement {
   RunResult R;
+  MetadataStats Meta; ///< Facility statistics at session end.
   double WallSeconds = 0;
 };
 
@@ -36,9 +37,11 @@ inline Measurement measure(const PipelineResult &Prog,
                            const RunRequest &Opts = {}) {
   Measurement M;
   auto T0 = std::chrono::steady_clock::now();
-  M.R = runSession(Prog, Opts).Combined;
+  SessionResult S = runSession(Prog, Opts);
   auto T1 = std::chrono::steady_clock::now();
   M.WallSeconds = std::chrono::duration<double>(T1 - T0).count();
+  M.R = std::move(S.Combined);
+  M.Meta = S.Meta;
   return M;
 }
 

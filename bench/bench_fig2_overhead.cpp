@@ -102,8 +102,7 @@ const Config Configs[] = {
 
 /// The checking-cost component of one measured run (see the file header).
 uint64_t simCost(const VMCounters &C, const MetadataFacility &Meta) {
-  return C.Checks * 3 + C.MetaLoads * Meta.lookupCost() +
-         C.MetaStores * Meta.updateCost() + C.CheckGuards * 1;
+  return C.checkingCost(Meta.lookupCost(), Meta.updateCost());
 }
 
 /// One row of the --profile hot-site table (full-opt shadow run).
@@ -748,8 +747,6 @@ int main(int argc, char **argv) {
         R.ProfileOut = &Prof;
         R.TraceTag = Num.Name + ":";
       }
-      if (K == 1)
-        R.MetaStatsOut = &Num.MetaStats;
       Measurement M = measure(Prog, R);
       if (!M.R.ok()) {
         std::fprintf(stderr, "%s checkopt run failed: %s\n", W.Name.c_str(),
@@ -762,6 +759,7 @@ int main(int argc, char **argv) {
       ShadowSpaceMetadata ShadowCosts;
       Num.SimCost[K] = simCost(M.R.Counters, ShadowCosts);
       if (K == 1) {
+        Num.MetaStats = M.Meta;
         ElimRate = 100.0 * Prog.Pipeline.CheckOpt.eliminationRate();
         Num.CheckOpt = Prog.Pipeline.CheckOpt;
         Num.Timings = Prog.Pipeline.Passes;

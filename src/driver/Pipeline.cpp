@@ -56,7 +56,7 @@ SessionResult softbound::runSession(const PipelineResult &Prog,
   Cfg.CheckCost = Req.CheckCost;
 
   if (Prog.Instrumented) {
-    // Lanes == 1 with one shard keeps the unlocked SingleThread
+    // One lane with one shard keeps the unlocked SingleThread
     // facility — the configuration every gated baseline was recorded
     // under. Otherwise the facility stripes its address space and runs
     // Concurrent: exclusive stripe locks for writers, seqlock reads.
@@ -91,77 +91,67 @@ SessionResult softbound::runSession(const PipelineResult &Prog,
   if (Meta && Req.Telem)
     Meta->attachTelemetry(Req.Telem, std::string("facility/") + Meta->name());
 
+  // Per-lane private sinks, merged in lane-index order after the join,
+  // keep the combined registry deterministic even though lane scheduling
+  // is not. A single lane keeps the caller's trace tag, so its trace
+  // names carry no lane prefix.
+  std::vector<Telemetry> LaneTelems(Req.Telem ? Lanes : 0);
+  std::vector<SiteProfile> LaneProfiles(Req.ProfileOut ? Lanes : 0);
+  std::vector<LaneSpec> Specs(Lanes);
+  for (unsigned I = 0; I < Lanes; ++I) {
+    Specs[I].Entry = Req.Entry;
+    Specs[I].Args = Req.Args;
+    Specs[I].Profile = Req.ProfileOut ? &LaneProfiles[I] : nullptr;
+    Specs[I].Telem = Req.Telem ? &LaneTelems[I] : nullptr;
+    Specs[I].TraceTag = Lanes == 1
+                            ? Req.TraceTag
+                            : Req.TraceTag + "lane" + std::to_string(I) + ":";
+  }
+
+  VM Machine(*Prog.M, Cfg);
   SessionResult S;
-  if (Lanes == 1) {
-    // Exactly the classic single-threaded sequence: the VM reads the
-    // caller's sinks straight from its config and runs inline.
-    Cfg.Telem = Req.Telem;
-    Cfg.Profile = Req.ProfileOut;
-    Cfg.TraceTag = Req.TraceTag;
-    VM Machine(*Prog.M, Cfg);
-    S.Combined = Machine.run(Req.Entry, Req.Args);
-    S.PerLane.push_back(S.Combined);
-  } else {
-    // Per-lane private sinks, merged in lane-index order after the
-    // join, keep the combined registry deterministic even though lane
-    // scheduling is not.
-    std::vector<Telemetry> LaneTelems(Req.Telem ? Lanes : 0);
-    std::vector<SiteProfile> LaneProfiles(Req.ProfileOut ? Lanes : 0);
-    std::vector<LaneSpec> Specs(Lanes);
-    for (unsigned I = 0; I < Lanes; ++I) {
-      Specs[I].Entry = Req.Entry;
-      Specs[I].Args = Req.Args;
-      Specs[I].Profile = Req.ProfileOut ? &LaneProfiles[I] : nullptr;
-      Specs[I].Telem = Req.Telem ? &LaneTelems[I] : nullptr;
-      Specs[I].TraceTag = Req.TraceTag + "lane" + std::to_string(I) + ":";
+  S.PerLane = Machine.runLanes(Specs);
+
+  for (const RunResult &L : S.PerLane) {
+    S.Combined.Counters.accumulate(L.Counters);
+    S.Combined.Output += L.Output;
+    if (S.Combined.Trap == TrapKind::None && L.Trap != TrapKind::None) {
+      S.Combined.Trap = L.Trap;
+      S.Combined.Message = L.Message;
+      S.Combined.HijackTarget = L.HijackTarget;
+      S.Combined.ExitCode = L.ExitCode;
     }
-
-    VM Machine(*Prog.M, Cfg);
-    S.PerLane = Machine.runLanes(Specs);
-
+  }
+  if (S.Combined.Trap == TrapKind::None)
+    S.Combined.ExitCode = S.PerLane.front().ExitCode;
+  // Per-request streams merge elementwise in lane order: counters add,
+  // the first lane (in lane order) with a contained trap at an index
+  // names the combined trap. Lanes run the same driver, so streams
+  // normally agree in length; a lane that died early truncates the
+  // combined stream to what every lane completed.
+  size_t MinReq = S.PerLane.front().Requests.size();
+  for (const RunResult &L : S.PerLane)
+    MinReq = std::min(MinReq, L.Requests.size());
+  S.Combined.Requests.resize(MinReq);
+  for (size_t RI = 0; RI < MinReq; ++RI)
     for (const RunResult &L : S.PerLane) {
-      S.Combined.Counters.accumulate(L.Counters);
-      S.Combined.Output += L.Output;
-      if (S.Combined.Trap == TrapKind::None && L.Trap != TrapKind::None) {
-        S.Combined.Trap = L.Trap;
-        S.Combined.Message = L.Message;
-        S.Combined.HijackTarget = L.HijackTarget;
-        S.Combined.ExitCode = L.ExitCode;
-      }
+      S.Combined.Requests[RI].Delta.accumulate(L.Requests[RI].Delta);
+      if (S.Combined.Requests[RI].Trap == TrapKind::None)
+        S.Combined.Requests[RI].Trap = L.Requests[RI].Trap;
     }
-    if (S.Combined.Trap == TrapKind::None && !S.PerLane.empty())
-      S.Combined.ExitCode = S.PerLane.front().ExitCode;
-    // Per-request streams merge elementwise in lane order: counters add,
-    // the first lane (in lane order) with a contained trap at an index
-    // names the combined trap. Lanes run the same driver, so streams
-    // normally agree in length; a lane that died early truncates the
-    // combined stream to what every lane completed.
-    size_t MinReq = S.PerLane.empty() ? 0 : S.PerLane.front().Requests.size();
-    for (const RunResult &L : S.PerLane)
-      MinReq = std::min(MinReq, L.Requests.size());
-    S.Combined.Requests.resize(MinReq);
-    for (size_t RI = 0; RI < MinReq; ++RI)
-      for (const RunResult &L : S.PerLane) {
-        S.Combined.Requests[RI].Delta.accumulate(L.Requests[RI].Delta);
-        if (S.Combined.Requests[RI].Trap == TrapKind::None)
-          S.Combined.Requests[RI].Trap = L.Requests[RI].Trap;
-      }
-    if (Meta)
-      S.Combined.MetadataMemory = Meta->memoryBytes();
-    S.Combined.HeapHighWater = Machine.memory().heapHighWater();
+  if (Meta)
+    S.Combined.MetadataMemory = Meta->memoryBytes();
+  S.Combined.HeapHighWater = Machine.memory().heapHighWater();
 
-    for (unsigned I = 0; I < Lanes; ++I) {
-      if (Req.Telem)
-        Req.Telem->mergeFrom(LaneTelems[I]);
-      if (Req.ProfileOut)
-        Req.ProfileOut->mergeFrom(LaneProfiles[I]);
-    }
+  for (unsigned I = 0; I < Lanes; ++I) {
+    if (Req.Telem)
+      Req.Telem->mergeFrom(LaneTelems[I]);
+    if (Req.ProfileOut)
+      Req.ProfileOut->mergeFrom(LaneProfiles[I]);
   }
 
   if (Meta) {
     S.Meta = Meta->stats();
-    if (Req.MetaStatsOut)
-      *Req.MetaStatsOut = S.Meta;
     if (Req.Telem)
       Meta->flushTelemetry();
   }

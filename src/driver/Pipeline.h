@@ -44,14 +44,15 @@ struct RunRequest {
   MemoryChecker *Checker = nullptr; ///< Baseline checker (uninstrumented).
   uint64_t RedzonePad = 0;          ///< Heap red-zone padding.
   uint64_t GlobalPad = 0;           ///< Global guard padding.
-  /// Number of interpreter lanes. 1 (the default) runs exactly the
-  /// classic single-threaded sequence — byte-identical counters and
-  /// cycles to every release before the session API. N > 1 runs N
-  /// lanes concurrently over one shared SimMemory and one shared
-  /// metadata facility (forced to ConcurrencyModel::Concurrent); each lane
-  /// executes Entry(Args) on a private 1/N slice of the stack segment.
-  /// Refused (explanatory Message, Segfault trap) when combined with a
-  /// baseline Checker — checkers keep single-threaded object tables.
+  /// Number of interpreter lanes. Every session runs through the same
+  /// lane runner and merge; the default 1 runs its one lane inline on
+  /// the caller's thread over the whole stack segment, with a
+  /// SingleThread facility. N > 1 runs N lanes concurrently over one
+  /// shared SimMemory and one shared metadata facility (forced to
+  /// ConcurrencyModel::Concurrent); each lane executes Entry(Args) on a
+  /// private 1/N slice of the stack segment. Refused (explanatory
+  /// Message, Segfault trap) when N > 1 is combined with a baseline
+  /// Checker — checkers keep single-threaded object tables.
   unsigned Lanes = 1;
   /// Shard count for the metadata facility (rounded up to a power of
   /// two). The default 1 with Lanes == 1 keeps the facility in
@@ -76,8 +77,6 @@ struct RunRequest {
   std::vector<int64_t> Args;
   uint64_t StepLimit = 4'000'000'000ULL;
   uint64_t CheckCost = 3; ///< Simulated instructions per bounds check.
-  /// Out-parameter: facility statistics after the run (optional).
-  MetadataStats *MetaStatsOut = nullptr;
   /// Telemetry sink (optional; null = the zero-cost disabled mode): VM
   /// phase trace events, facility probe histograms and clear/copy
   /// volumes, aggregate run counters. Never changes counters or cycles.
@@ -87,7 +86,8 @@ struct RunRequest {
   SiteProfile *ProfileOut = nullptr;
   /// Trace-event name prefix (benches set "<workload>:"). Multi-lane
   /// sessions append "lane<K>:" per lane so trace events stay
-  /// attributable after the deterministic merge.
+  /// attributable after the deterministic merge; a single lane uses the
+  /// prefix unchanged.
   std::string TraceTag;
 };
 
@@ -97,8 +97,8 @@ struct RunRequest {
 /// `Requests` snapshots merged elementwise); PerLane keeps each lane's
 /// untouched RunResult — including its own per-request stream, which is
 /// what the traffic tier's detection and divergence reporting read.
-/// Single-lane sessions have exactly one PerLane entry equal to
-/// Combined.
+/// For a single lane the merge is the identity: its one PerLane entry
+/// equals Combined.
 struct SessionResult {
   RunResult Combined;
   std::vector<RunResult> PerLane;
@@ -112,8 +112,9 @@ struct SessionResult {
 
 /// Runs a built program in a fresh VM session: creates the metadata
 /// facility for instrumented programs (sharded per \p Req), runs
-/// Req.Lanes interpreter lanes, and merges per-lane profiles and
-/// telemetry deterministically (lane-index order) into Req's sinks.
+/// Req.Lanes interpreter lanes through VM::runLanes, and merges per-lane
+/// results, profiles and telemetry deterministically (lane-index order)
+/// into the SessionResult and Req's sinks.
 SessionResult runSession(const PipelineResult &Prog,
                          const RunRequest &Req = {});
 

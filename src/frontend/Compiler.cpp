@@ -294,12 +294,19 @@ Type *Parser::parseSuffixes(Type *Base, FunctionType **FnTy,
         next();
         continue;
       }
-      Dims.push_back(static_cast<uint64_t>(parseConstIntExpr()));
+      int64_t Dim = parseConstIntExpr();
+      if (Dim < 0)
+        error("negative array dimension " + std::to_string(Dim));
+      Dims.push_back(static_cast<uint64_t>(Dim));
       expect(Tok::RBracket, "]");
     }
     Type *T = Base;
-    for (auto It = Dims.rbegin(); It != Dims.rend(); ++It)
+    for (auto It = Dims.rbegin(); It != Dims.rend(); ++It) {
+      uint64_t ElemSize = T->sizeInBytes();
+      if (ElemSize && *It > UINT64_MAX / ElemSize)
+        error("array size in bytes overflows 64 bits");
       T = Ctx.arrayOf(T, *It);
+    }
     return T;
   }
   // Parameter list suffix.

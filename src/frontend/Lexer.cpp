@@ -114,7 +114,9 @@ void Lexer::lex(const std::string &Src) {
     }
     // Numbers.
     if (std::isdigit(static_cast<unsigned char>(C))) {
-      int64_t Val = 0;
+      // Accumulate unsigned: a literal past 2^64 wraps instead of
+      // overflowing a signed value.
+      uint64_t Val = 0;
       if (C == '0' && I + 1 < Src.size() &&
           (Src[I + 1] == 'x' || Src[I + 1] == 'X')) {
         I += 2;
@@ -136,7 +138,7 @@ void Lexer::lex(const std::string &Src) {
         ++I;
       Token T;
       T.Kind = Tok::IntLit;
-      T.IntVal = Val;
+      T.IntVal = static_cast<int64_t>(Val);
       T.Line = Line;
       Tokens.push_back(std::move(T));
       continue;

@@ -84,7 +84,11 @@ void Module::renameFunction(Function *F, const std::string &NewName) {
 GlobalVariable *Module::createGlobal(const std::string &Name, Type *ValueTy,
                                      GlobalInitializer Init, bool Constant) {
   assert(!GlobalMap.count(Name) && "duplicate global name");
-  Init.Bytes.resize(ValueTy->sizeInBytes(), 0);
+  // Init.Bytes keeps only the initialised prefix (clipped to the object):
+  // the loader's global segment is already zero, so a large zero tail is
+  // never materialised.
+  if (Init.Bytes.size() > ValueTy->sizeInBytes())
+    Init.Bytes.resize(ValueTy->sizeInBytes());
   auto G = std::make_unique<GlobalVariable>(Ctx.ptrTo(ValueTy), ValueTy, Name,
                                             std::move(Init), Constant);
   GlobalVariable *Out = G.get();

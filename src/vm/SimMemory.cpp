@@ -110,6 +110,8 @@ uint64_t SimMemory::heapAlloc(uint64_t Size, uint64_t RedzonePad) {
   std::lock_guard<std::mutex> L(HeapMu);
   if (Size == 0)
     Size = 1;
+  if (Size > Heap.size() || RedzonePad > Heap.size())
+    return 0; // Cannot fit; also keeps Need below from wrapping.
   uint64_t Need = (Size + RedzonePad + 15) & ~15ULL;
 
   // First fit in the free list.
@@ -121,7 +123,7 @@ uint64_t SimMemory::heapAlloc(uint64_t Size, uint64_t RedzonePad) {
     FreeList.erase(It);
     if (Remain >= 16)
       FreeList[Addr + Need] = Remain;
-    Allocs[Addr] = Size;
+    Allocs[Addr] = {Size, Need};
     HeapLive += Size;
     return Addr;
   }
@@ -133,7 +135,7 @@ uint64_t SimMemory::heapAlloc(uint64_t Size, uint64_t RedzonePad) {
   HeapBump += Need;
   if (HeapBump - HeapBase > HeapHigh)
     HeapHigh = HeapBump - HeapBase;
-  Allocs[Addr] = Size;
+  Allocs[Addr] = {Size, Need};
   HeapLive += Size;
   return Addr;
 }
@@ -143,18 +145,19 @@ uint64_t SimMemory::heapFree(uint64_t Addr) {
   auto It = Allocs.find(Addr);
   if (It == Allocs.end())
     return UINT64_MAX;
-  uint64_t Size = It->second;
-  uint64_t Padded = (Size + 15) & ~15ULL;
+  Block B = It->second;
   Allocs.erase(It);
-  HeapLive -= Size;
-  FreeList[Addr] = Padded;
-  return Size;
+  HeapLive -= B.Size;
+  // Return the whole reservation, red-zone pad included, so padded
+  // malloc/free cycles reuse their blocks instead of bumping the heap.
+  FreeList[Addr] = B.Reserved;
+  return B.Size;
 }
 
 uint64_t SimMemory::heapBlockSize(uint64_t Addr) const {
   std::lock_guard<std::mutex> L(HeapMu);
   auto It = Allocs.find(Addr);
-  return It == Allocs.end() ? 0 : It->second;
+  return It == Allocs.end() ? 0 : It->second.Size;
 }
 
 std::pair<uint64_t, uint64_t>
@@ -164,8 +167,8 @@ SimMemory::heapBlockContaining(uint64_t Addr) const {
   if (It == Allocs.begin())
     return {0, 0};
   --It;
-  if (Addr >= It->first && Addr < It->first + It->second)
-    return {It->first, It->second};
+  if (Addr >= It->first && Addr < It->first + It->second.Size)
+    return {It->first, It->second.Size};
   return {0, 0};
 }
 

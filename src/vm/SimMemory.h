@@ -31,6 +31,10 @@ inline constexpr uint64_t FuncStride = 16; ///< Address distance of functions.
 inline constexpr uint64_t GlobalBase = 0x0000'1000'0000ULL;
 inline constexpr uint64_t HeapBase = 0x0000'2000'0000ULL;
 inline constexpr uint64_t StackBase = 0x0000'7000'0000ULL;
+/// Segment sizes every VM maps.
+inline constexpr uint64_t GlobalSize = 4ULL << 20;
+inline constexpr uint64_t HeapSize = 64ULL << 20;
+inline constexpr uint64_t StackSize = 2ULL << 20;
 } // namespace simlayout
 
 /// Byte-addressable simulated memory with segment bounds checking.
@@ -131,7 +135,13 @@ private:
   uint64_t StackTopAddr;
 
   // Heap allocator state.
-  std::map<uint64_t, uint64_t> Allocs;   ///< start -> size (live blocks).
+  /// A live heap block: the size the program asked for, and the bytes
+  /// the allocator reserved for it (16-rounded, red-zone pad included).
+  struct Block {
+    uint64_t Size;
+    uint64_t Reserved;
+  };
+  std::map<uint64_t, Block> Allocs;      ///< start -> live block.
   std::map<uint64_t, uint64_t> FreeList; ///< start -> size (freed blocks).
   uint64_t HeapBump = simlayout::HeapBase;
   uint64_t HeapLive = 0;

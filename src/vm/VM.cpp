@@ -7,6 +7,7 @@
 #include "vm/VM.h"
 
 #include "support/Compiler.h"
+#include "support/RNG.h"
 
 #include <cstring>
 #include <deque>
@@ -144,10 +145,10 @@ constexpr uint64_t JmpMagic = 0x4A4D'5042'5546'4D41ULL;
 
 namespace softbound {
 
-/// All per-run execution state. One VMExec per lane of a VM::run /
-/// VM::runLanes call. The lane's stack slice and observation sinks are
-/// constructor parameters (not read from VMConfig) so concurrent lanes
-/// never share mutable state through the shared config.
+/// All per-run execution state. One VMExec per lane of a VM::runLanes
+/// call. The lane's stack slice and observation sinks are constructor
+/// parameters (not read from VMConfig) so concurrent lanes never share
+/// mutable state through the shared config.
 class VMExec {
 public:
   VMExec(VM &Owner, Module &M, VMConfig &Cfg, SimMemory &Mem,
@@ -356,8 +357,7 @@ private:
 //===----------------------------------------------------------------------===//
 
 VM::VM(Module &M, VMConfig Config)
-    : M(M), Cfg(Config),
-      Mem(Config.GlobalSize, Config.HeapSize, Config.StackSize), Rand(42) {
+    : M(M), Cfg(Config), Mem(GlobalSize, HeapSize, StackSize) {
   loadImage();
 }
 
@@ -388,9 +388,15 @@ void VM::loadImage() {
   for (const auto &G : M.globals()) {
     uint64_t Size = G->valueType()->sizeInBytes();
     // Checker baselines (Mudflap-style) pad objects with guard zones.
-    uint64_t Addr = Mem.allocateGlobal(Size + Cfg.GlobalPad,
-                                       G->valueType()->alignment());
-    assert(Addr && "global segment exhausted");
+    uint64_t Addr = Size > GlobalSize
+                        ? 0
+                        : Mem.allocateGlobal(Size + Cfg.GlobalPad,
+                                             G->valueType()->alignment());
+    if (!Addr) {
+      LoadError = "global segment exhausted by @" + G->name() + " (" +
+                  std::to_string(Size) + " bytes)";
+      return;
+    }
     GlobalAddr[G.get()] = Addr;
   }
 
@@ -423,43 +429,47 @@ void VM::loadImage() {
 
 RunResult VM::run(const std::string &EntryName,
                   const std::vector<int64_t> &Args) {
-  VMExec Exec(*this, M, Cfg, Mem, Mem.stackTop(), Mem.stackLimit(),
-              Cfg.Profile, Cfg.Telem, Cfg.TraceTag);
-  return Exec.run(EntryName, Args);
+  LaneSpec Lane;
+  Lane.Entry = EntryName;
+  Lane.Args = Args;
+  return runLanes({Lane}).front();
 }
 
 std::vector<RunResult> VM::runLanes(const std::vector<LaneSpec> &Lanes) {
   std::vector<RunResult> Results(Lanes.size());
-  if (Lanes.empty())
-    return Results;
-
-  if (Lanes.size() == 1) {
-    // One lane runs inline with the full stack segment: byte-identical
-    // to run(), no concurrent mode, no host threads.
-    const LaneSpec &L = Lanes[0];
-    VMExec Exec(*this, M, Cfg, Mem, Mem.stackTop(), Mem.stackLimit(), L.Profile,
-                L.Telem, L.TraceTag);
-    Results[0] = Exec.run(L.Entry, L.Args);
+  if (!LoadError.empty()) {
+    for (RunResult &R : Results) {
+      R.Trap = TrapKind::OutOfMemory;
+      R.Message = LoadError;
+    }
     return Results;
   }
 
   // Partition the stack segment into 16-aligned per-lane slices, top
-  // lane first (lane 0 gets the highest addresses, like a single-lane
-  // run would).
+  // lane first: lane 0 gets the highest addresses, and a single lane
+  // gets the whole segment.
   uint64_t Top = Mem.stackTop();
-  uint64_t Span = ((Top - Mem.stackLimit()) / Lanes.size()) & ~15ULL;
+  uint64_t Span =
+      Lanes.empty() ? 0 : ((Top - Mem.stackLimit()) / Lanes.size()) & ~15ULL;
+  auto RunLane = [&](size_t I) {
+    const LaneSpec &L = Lanes[I];
+    uint64_t LaneTop = Top - I * Span;
+    VMExec Exec(*this, M, Cfg, Mem, LaneTop, LaneTop - Span, L.Profile,
+                L.Telem, L.TraceTag);
+    Results[I] = Exec.run(L.Entry, L.Args);
+  };
+
+  // One lane runs inline: no host thread, no concurrent mode.
+  if (Lanes.size() == 1) {
+    RunLane(0);
+    return Results;
+  }
 
   Mem.setConcurrent(true);
   std::vector<std::thread> Threads;
   Threads.reserve(Lanes.size());
   for (size_t I = 0; I < Lanes.size(); ++I)
-    Threads.emplace_back([this, &Lanes, &Results, Top, Span, I] {
-      const LaneSpec &L = Lanes[I];
-      uint64_t LaneTop = Top - I * Span;
-      VMExec Exec(*this, M, Cfg, Mem, LaneTop, LaneTop - Span, L.Profile,
-                  L.Telem, L.TraceTag);
-      Results[I] = Exec.run(L.Entry, L.Args);
-    });
+    Threads.emplace_back(RunLane, I);
   for (auto &T : Threads)
     T.join();
   Mem.setConcurrent(false);
@@ -501,6 +511,10 @@ bool VMExec::pushFrame(Function *F, const std::vector<VMVal> &Args,
         continue;
       uint64_t Size = AI->allocatedType()->sizeInBytes();
       uint64_t Align = AI->allocatedType()->alignment();
+      if (Size > Cur - StackLimit) { // Would wrap below the slice.
+        trap(TrapKind::StackOverflow, "stack exhausted in @" + F->name());
+        return false;
+      }
       Cur -= Size;
       Cur &= ~(Align - 1);
       AllocaAddrs.emplace_back(AI, Cur);
@@ -557,7 +571,7 @@ void VMExec::popFrame(VMVal RetVal) {
       Cfg.Checker->onFree(ObjectRegion::Stack, Addr, Size);
 
   // §5.2 "memory reuse and stale metadata": drop metadata for frame slots.
-  if (Cfg.Instrumented && Cfg.Meta && Cfg.ClearMetadataOnFrameExit)
+  if (Cfg.Instrumented && Cfg.Meta)
     C.Cycles += Cfg.Meta->clearRange(Fr.FrameLow, Fr.FrameTop - Fr.FrameLow);
 
   if (Frames.empty()) {
@@ -600,13 +614,8 @@ RunResult VMExec::run(const std::string &EntryName,
     // plus the aggregate counters for the report.
     Telem->addCompleteEvent(traceName("run:" + EntryName), "vm",
                             Telemetry::TidVM, 0, C.Cycles);
-    Telem->counter("vm/insts") += C.Insts;
-    Telem->counter("vm/checks") += C.Checks;
-    Telem->counter("vm/check_guards") += C.CheckGuards;
-    Telem->counter("vm/guard_skips") += C.GuardSkips;
-    Telem->counter("vm/meta_loads") += C.MetaLoads;
-    Telem->counter("vm/meta_stores") += C.MetaStores;
-    Telem->counter("vm/cycles") += C.Cycles;
+    for (const VMCounters::Field &F : VMCounters::Fields)
+      Telem->counter(std::string("vm/") + F.Name) += C.*F.Member;
   }
   return Res;
 }
@@ -1100,7 +1109,7 @@ void VMExec::unwindFramesAbove(size_t KeepIdx) {
     if (Cfg.Checker)
       for (auto &[Addr, Size] : Dead.Allocas)
         Cfg.Checker->onFree(ObjectRegion::Stack, Addr, Size);
-    if (Cfg.Instrumented && Cfg.Meta && Cfg.ClearMetadataOnFrameExit)
+    if (Cfg.Instrumented && Cfg.Meta)
       C.Cycles +=
           Cfg.Meta->clearRange(Dead.FrameLow, Dead.FrameTop - Dead.FrameLow);
     Frames.pop_back();
@@ -1159,7 +1168,7 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
     if (Cfg.Checker)
       Cfg.Checker->onFree(ObjectRegion::Heap, Addr, Size);
     // §5.2: clear metadata when the freed block could have held pointers.
-    if (Cfg.Instrumented && Cfg.Meta && Cfg.ClearMetadataOnFree)
+    if (Cfg.Instrumented && Cfg.Meta)
       C.Cycles += Cfg.Meta->clearRange(Addr, Size);
     return;
   }

@@ -18,7 +18,6 @@
 
 #include "ir/Module.h"
 #include "runtime/MetadataFacility.h"
-#include "support/RNG.h"
 #include "support/Telemetry.h"
 #include "vm/MemoryChecker.h"
 #include "vm/SimMemory.h"
@@ -69,53 +68,69 @@ struct VMCounters {
   uint64_t Cycles = 0;
   uint64_t MaxFrameDepth = 0;
 
+  /// One summed counter: its telemetry name (published as `vm/<Name>`)
+  /// and its member.
+  struct Field {
+    const char *Name;
+    uint64_t VMCounters::*Member;
+  };
+  /// The counter schema: every count that adds across lanes and
+  /// subtracts across request windows. MaxFrameDepth is deliberately
+  /// absent — lane joins take its max and request windows keep its
+  /// absolute value.
+  static constexpr Field Fields[] = {
+      {"insts", &VMCounters::Insts},
+      {"loads", &VMCounters::Loads},
+      {"stores", &VMCounters::Stores},
+      {"ptr_loads", &VMCounters::PtrLoads},
+      {"ptr_stores", &VMCounters::PtrStores},
+      {"checks", &VMCounters::Checks},
+      {"check_guards", &VMCounters::CheckGuards},
+      {"guard_skips", &VMCounters::GuardSkips},
+      {"funcptr_checks", &VMCounters::FuncPtrChecks},
+      {"meta_loads", &VMCounters::MetaLoads},
+      {"meta_stores", &VMCounters::MetaStores},
+      {"calls", &VMCounters::Calls},
+      {"cycles", &VMCounters::Cycles},
+  };
+
   uint64_t memOps() const { return Loads + Stores; }
   double ptrOpFraction() const {
     uint64_t M = memOps();
     return M ? static_cast<double>(PtrLoads + PtrStores) / M : 0.0;
   }
 
-  /// Folds \p O into this counter set (multi-lane joins): every count
-  /// adds except MaxFrameDepth, which takes the max across lanes.
+  /// The §5.1 checking cost of these counts: checks at \p CheckCost,
+  /// metadata loads and stores at the facility's lookup and update cost,
+  /// guard tests at 1. Function-pointer checks are not priced. The fig2
+  /// gate and the traffic tier's per-request sim-cost both use it.
+  uint64_t checkingCost(uint64_t LookupCost, uint64_t UpdateCost,
+                        uint64_t CheckCost = 3) const {
+    return Checks * CheckCost + MetaLoads * LookupCost +
+           MetaStores * UpdateCost + CheckGuards;
+  }
+
+  /// Folds \p O into this counter set (multi-lane joins): every field
+  /// adds; MaxFrameDepth takes the max across lanes.
   void accumulate(const VMCounters &O) {
-    Insts += O.Insts;
-    Loads += O.Loads;
-    Stores += O.Stores;
-    PtrLoads += O.PtrLoads;
-    PtrStores += O.PtrStores;
-    Checks += O.Checks;
-    CheckGuards += O.CheckGuards;
-    GuardSkips += O.GuardSkips;
-    FuncPtrChecks += O.FuncPtrChecks;
-    MetaLoads += O.MetaLoads;
-    MetaStores += O.MetaStores;
-    Calls += O.Calls;
-    Cycles += O.Cycles;
+    for (const Field &F : Fields)
+      this->*F.Member += O.*F.Member;
     if (O.MaxFrameDepth > MaxFrameDepth)
       MaxFrameDepth = O.MaxFrameDepth;
   }
 
   /// Counter delta since snapshot \p Prev (per-request windows). Every
-  /// count subtracts; MaxFrameDepth keeps the current absolute value —
+  /// field subtracts; MaxFrameDepth keeps the current absolute value —
   /// a per-window depth delta has no meaning.
   VMCounters since(const VMCounters &Prev) const {
     VMCounters D;
-    D.Insts = Insts - Prev.Insts;
-    D.Loads = Loads - Prev.Loads;
-    D.Stores = Stores - Prev.Stores;
-    D.PtrLoads = PtrLoads - Prev.PtrLoads;
-    D.PtrStores = PtrStores - Prev.PtrStores;
-    D.Checks = Checks - Prev.Checks;
-    D.CheckGuards = CheckGuards - Prev.CheckGuards;
-    D.GuardSkips = GuardSkips - Prev.GuardSkips;
-    D.FuncPtrChecks = FuncPtrChecks - Prev.FuncPtrChecks;
-    D.MetaLoads = MetaLoads - Prev.MetaLoads;
-    D.MetaStores = MetaStores - Prev.MetaStores;
-    D.Calls = Calls - Prev.Calls;
-    D.Cycles = Cycles - Prev.Cycles;
+    for (const Field &F : Fields)
+      D.*F.Member = this->*F.Member - Prev.*F.Member;
     D.MaxFrameDepth = MaxFrameDepth;
     return D;
   }
+
+  bool operator==(const VMCounters &) const = default;
 };
 
 /// One request window recorded by the `sb_request_end` builtin: the
@@ -161,33 +176,19 @@ struct RunResult {
 /// store-only checking).
 enum class WrapperMode { None, StoreOnly, Full };
 
-/// VM construction options.
+/// VM construction options. Observation sinks are per lane (LaneSpec);
+/// segment sizes are simlayout constants.
 struct VMConfig {
   MetadataFacility *Meta = nullptr;  ///< Required for instrumented modules.
   MemoryChecker *Checker = nullptr;  ///< Baseline checker (uninstrumented).
   WrapperMode Wrappers = WrapperMode::Full;
-  uint64_t GlobalSize = 4ULL << 20;
-  uint64_t HeapSize = 64ULL << 20;
-  uint64_t StackSize = 2ULL << 20;
   uint64_t StepLimit = 4'000'000'000ULL;
   uint64_t CheckCost = 3;      ///< Simulated instructions per bounds check.
   uint64_t RedzonePad = 0;     ///< Heap padding for checker baselines.
   uint64_t GlobalPad = 0;      ///< Global padding for checker baselines.
-  bool ClearMetadataOnFree = true;
-  bool ClearMetadataOnFrameExit = true;
   bool Instrumented = false;   ///< Module carries SoftBound instrumentation.
   size_t OutputLimit = 1u << 20;
   uint64_t MaxFrames = 100'000;
-  /// Optional per-site dynamic profile, indexed by Instruction::site()
-  /// (null = telemetry's zero-cost disabled mode). Recording never
-  /// changes counters or cycle accounting.
-  SiteProfile *Profile = nullptr;
-  /// Optional telemetry sink for VM phase trace events and aggregate
-  /// run counters (null = off). Trace timestamps are simulated cycles,
-  /// so timelines are deterministic.
-  Telemetry *Telem = nullptr;
-  /// Prefix for trace-event names (benches set "<workload>:").
-  std::string TraceTag;
 };
 
 /// One interpreter lane of a multi-lane run: entry point, arguments, and
@@ -219,19 +220,19 @@ public:
   ~VM();
 
   /// Runs \p EntryName (falls back to the `_sb_`-renamed form), passing
-  /// integer arguments to the leading integer parameters.
+  /// integer arguments to the leading integer parameters: one lane with
+  /// no observation sinks.
   RunResult run(const std::string &EntryName = "main",
                 const std::vector<int64_t> &Args = {});
 
   /// Runs N interpreter lanes over this VM's shared image, heap, and
   /// metadata facility; returns one RunResult per lane, in lane order.
-  /// One lane runs inline on the caller's thread with the full stack
-  /// segment (byte-identical to run()); N > 1 lanes each get a
-  /// 16-aligned 1/N slice of the stack and run on their own host
-  /// threads with SimMemory in concurrent mode. Multi-lane callers must
-  /// use a Concurrent metadata facility and no baseline Checker (checkers
-  /// keep single-threaded object tables) — the session layer enforces
-  /// this.
+  /// Each lane gets a 16-aligned 1/N slice of the stack segment (one
+  /// lane: the whole segment). One lane runs inline on the caller's
+  /// thread; N > 1 lanes run on their own host threads with SimMemory in
+  /// concurrent mode. Multi-lane callers must use a Concurrent metadata
+  /// facility and no baseline Checker (checkers keep single-threaded
+  /// object tables) — the session layer enforces this.
   std::vector<RunResult> runLanes(const std::vector<LaneSpec> &Lanes);
 
   uint64_t functionAddress(const Function *F) const;
@@ -239,20 +240,20 @@ public:
   SimMemory &memory() { return Mem; }
 
 private:
-  struct Frame;
-  struct JmpRecord;
-  class Impl;
-
   Module &M;
   VMConfig Cfg;
   SimMemory Mem;
-  RNG Rand;
 
   // Module image.
   std::vector<Function *> FuncByIndex;
   std::unordered_map<const Function *, uint64_t> FuncAddr;
   std::unordered_map<const GlobalVariable *, uint64_t> GlobalAddr;
   std::unordered_map<const Function *, int> BuiltinOf;
+
+  /// Why the image could not be loaded (a global that does not fit its
+  /// segment); empty when loading succeeded. Every lane of a refused
+  /// image ends with an OutOfMemory trap carrying this message.
+  std::string LoadError;
 
   void loadImage();
 

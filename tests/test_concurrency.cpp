@@ -19,8 +19,9 @@
 ///  - a 4-lane runSession over the full Table 3 attack suite and the
 ///    Table 4 BugBench kernels misses nothing in any lane, with every
 ///    lookup on the seqlock read path;
-///  - a 1-lane session is counter-identical to a hand-built VM run, the
-///    path the gated baselines were recorded against;
+///  - a 1-lane session is RunResult-identical to a hand-built VM run
+///    (counters, trap, output, request windows, memory figures): the
+///    single-lane merge is the identity;
 ///  - multi-lane sessions surface contention accounting and merge lane
 ///    outputs deterministically;
 ///  - lock-free lookups (docs/runtime.md "Lock-free reads"): a
@@ -37,10 +38,12 @@
 #include "runtime/ShadowSpaceMetadata.h"
 #include "support/Telemetry.h"
 #include "vm/VM.h"
+#include "workloads/Traffic.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cstdint>
@@ -294,32 +297,69 @@ TEST(MultiLaneSessions, FourLaneBugBenchSweepMissesNothing) {
 // Single-lane sessions reproduce the classic (gated) execution exactly
 //===----------------------------------------------------------------------===//
 
+/// Runs \p Prog on a hand-configured VM: an unsharded SingleThread
+/// shadow space, full wrappers, run() on "main".
+RunResult runByHand(const PipelineResult &Prog) {
+  ShadowSpaceMetadata Meta;
+  VMConfig Cfg;
+  Cfg.Meta = &Meta;
+  Cfg.Instrumented = true;
+  Cfg.Wrappers = WrapperMode::Full;
+  return VM(*Prog.M, Cfg).run("main", {});
+}
+
+/// Whole-RunResult equality between a one-lane session and a hand-built
+/// VM run: the single-lane merge must be the identity.
+void expectSameRun(const RunResult &Session, const RunResult &ByHand,
+                   const std::string &What) {
+  EXPECT_EQ(Session.Counters, ByHand.Counters) << What;
+  EXPECT_EQ(Session.Trap, ByHand.Trap) << What;
+  EXPECT_EQ(Session.Message, ByHand.Message) << What;
+  EXPECT_EQ(Session.HijackTarget, ByHand.HijackTarget) << What;
+  EXPECT_EQ(Session.Output, ByHand.Output) << What;
+  EXPECT_EQ(Session.ExitCode, ByHand.ExitCode) << What;
+  ASSERT_EQ(Session.Requests.size(), ByHand.Requests.size()) << What;
+  for (size_t I = 0; I < Session.Requests.size(); ++I) {
+    EXPECT_EQ(Session.Requests[I].Delta, ByHand.Requests[I].Delta)
+        << What << " request " << I;
+    EXPECT_EQ(Session.Requests[I].Trap, ByHand.Requests[I].Trap)
+        << What << " request " << I;
+  }
+  EXPECT_EQ(Session.MetadataMemory, ByHand.MetadataMemory) << What;
+  EXPECT_EQ(Session.HeapHighWater, ByHand.HeapHighWater) << What;
+}
+
 TEST(SessionDeterminism, SingleLaneMatchesHandBuiltVM) {
-  for (const Workload &W : benchmarkSuite()) {
-    PipelineResult Prog = buildInstrumented(W.Source);
-    ASSERT_TRUE(Prog.ok()) << W.Name << ": " << Prog.errorText();
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const Workload &W : benchmarkSuite())
+    Programs.emplace_back(W.Name, W.Source);
+  // One traffic schedule, with attacks, so request windows (and their
+  // contained traps) go through the single-lane merge too.
+  TrafficConfig TC;
+  TC.Requests = 60;
+  TC.AttackPerMille = 100;
+  TrafficSchedule TS = TrafficSchedule::generate(ServerKind::Http, TC);
+  ASSERT_GT(TS.adversarialCount(), 0u);
+  Programs.emplace_back("http-traffic", TS.driverSource(true));
 
-    // The classic single-threaded run, configured by hand: an unsharded
-    // SingleThread shadow space and full wrappers.
-    ShadowSpaceMetadata Meta;
-    VMConfig Cfg;
-    Cfg.Meta = &Meta;
-    Cfg.Instrumented = true;
-    Cfg.Wrappers = WrapperMode::Full;
-    RunResult ByHand = VM(*Prog.M, Cfg).run("main", {});
+  for (const auto &[Name, Source] : Programs) {
+    PipelineResult Prog = buildInstrumented(Source);
+    ASSERT_TRUE(Prog.ok()) << Name << ": " << Prog.errorText();
+
+    RunResult ByHand = runByHand(Prog);
     SessionResult S = runSession(Prog);
-    ASSERT_EQ(S.PerLane.size(), 1u) << W.Name;
-
-    EXPECT_EQ(S.Combined.Counters.Checks, ByHand.Counters.Checks) << W.Name;
-    EXPECT_EQ(S.Combined.Counters.MetaLoads, ByHand.Counters.MetaLoads)
-        << W.Name;
-    EXPECT_EQ(S.Combined.Counters.MetaStores, ByHand.Counters.MetaStores)
-        << W.Name;
-    EXPECT_EQ(S.Combined.Counters.Cycles, ByHand.Counters.Cycles) << W.Name;
-    EXPECT_EQ(S.Combined.Output, ByHand.Output) << W.Name;
-    EXPECT_EQ(S.Combined.ExitCode, ByHand.ExitCode) << W.Name;
+    ASSERT_EQ(S.PerLane.size(), 1u) << Name;
+    expectSameRun(S.Combined, ByHand, Name);
+    expectSameRun(S.PerLane.front(), ByHand, Name + " (lane 0)");
     // Default request: SingleThread facility, so zero lock traffic.
-    EXPECT_EQ(S.Meta.LockAcquires, 0u) << W.Name;
+    EXPECT_EQ(S.Meta.LockAcquires, 0u) << Name;
+    if (Name == "http-traffic") {
+      // The traffic program really produced windows, some trapped.
+      EXPECT_EQ(S.Combined.Requests.size(), TC.Requests + 1);
+      EXPECT_TRUE(std::any_of(
+          S.Combined.Requests.begin(), S.Combined.Requests.end(),
+          [](const RequestSample &R) { return R.Trap != TrapKind::None; }));
+    }
   }
 }
 

@@ -178,7 +178,7 @@ TEST(DocsDrift, RuntimeDocCurrent) {
   for (const char *Needle :
        {"runSession", "RunRequest", "SessionResult", "FacilityOptions",
         "lookupN", "updateN", "clearRange", "copyRange", "--lanes",
-        "--shards", "MetaStatsOut", "test_concurrency.cpp", "Concurrent",
+        "--shards", "SessionResult::Meta", "test_concurrency.cpp", "Concurrent",
         "StripeSeqlock", "SeqlockRetryCost", "SeqlockReads", "SeqlockRetries",
         // Traffic tier: builtins, sample plumbing, per-request keys.
         "sb_guard", "sb_request_end", "RequestSample", "TrafficSchedule",
@@ -187,10 +187,12 @@ TEST(DocsDrift, RuntimeDocCurrent) {
     EXPECT_NE(Doc.find(Needle), std::string::npos)
         << "docs/runtime.md no longer mentions '" << Needle << "'";
   // Retired names: the shared-mutex model, its request switch and bench
-  // flag, and the deprecated run wrappers. Spelled in pieces so that a
+  // flag, the deprecated run wrappers, the facility-stats out-parameter
+  // and the metadata-clear switches. Spelled in pieces so that a
   // repository-wide search for the retired names comes back empty.
   for (const char *Gone : {"Sharded", "LockFree" "Reads", "--lock" "free",
-                           "run" "Program"})
+                           "run" "Program", "MetaStats" "Out",
+                           "ClearMetadata" "On"})
     EXPECT_EQ(Doc.find(Gone), std::string::npos)
         << "docs/runtime.md still mentions retired '" << Gone << "'";
 

@@ -259,9 +259,8 @@ TEST(ShadowSpaceMetadata, AddressesBeyondDirectoryFailClosed) {
 
   // No pointer can live out of reach: the default VM's segments end
   // below it, so an access there faults before it reaches the facility.
-  VMConfig C;
-  EXPECT_LE(simlayout::HeapBase + C.HeapSize, Reach);
-  EXPECT_LE(simlayout::StackBase + C.StackSize, Reach);
+  EXPECT_LE(simlayout::HeapBase + simlayout::HeapSize, Reach);
+  EXPECT_LE(simlayout::StackBase + simlayout::StackSize, Reach);
 }
 
 TEST(FacilityEquivalence, HashMatchesShadowOracle) {

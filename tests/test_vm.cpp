@@ -99,6 +99,23 @@ TEST(SimMemory, RedzonePaddingSeparatesBlocks) {
   EXPECT_EQ(M.heapBlockContaining(A + 4).first, A);
 }
 
+TEST(SimMemory, RedzoneFreeReturnsThePad) {
+  // A padded block's whole reservation, red-zone pad included, goes back
+  // to the free list: malloc/free cycles reuse the block instead of
+  // bumping the heap until it runs out.
+  SimMemory M(1 << 16, 1 << 16, 1 << 16);
+  uint64_t First = M.heapAlloc(64, /*RedzonePad=*/16);
+  ASSERT_NE(First, 0u);
+  ASSERT_EQ(M.heapFree(First), 64u);
+  for (int I = 0; I < 10000; ++I) {
+    uint64_t A = M.heapAlloc(64, /*RedzonePad=*/16);
+    ASSERT_EQ(A, First) << "cycle " << I;
+    ASSERT_EQ(M.heapBlockSize(A), 64u); // The user size, not the pad.
+    ASSERT_EQ(M.heapFree(A), 64u);
+  }
+  EXPECT_EQ(M.heapHighWater(), 80u);
+}
+
 TEST(SimMemory, InvalidFreeReported) {
   SimMemory M(1 << 16, 1 << 20, 1 << 16);
   uint64_t A = M.heapAlloc(16);
@@ -269,20 +286,94 @@ TEST(VMLimits, FrameLimitTrapsDeepRecursion) {
 
 TEST(VMLimits, MallocBeyondTheHeapReturnsNull) {
   // 100 MB exceeds the 64 MB heap segment: malloc returns NULL, the
-  // program sees it, and later small allocations still succeed.
+  // program sees it, and later small allocations still succeed. A size
+  // near 2^64 must not wrap the allocator's rounding into a tiny block.
   const char *Src = "int main() {\n"
                     "  char* big = (char*)malloc(100000000);\n"
                     "  if (big != NULL) return 1;\n"
+                    "  char* wrap = (char*)malloc(-1);\n"
+                    "  if (wrap != NULL) return 3;\n"
                     "  char* small = (char*)malloc(16);\n"
                     "  if (small == NULL) return 2;\n"
                     "  small[15] = 1;\n"
                     "  return 7;\n"
                     "}";
-  ASSERT_GT(100000000u, VMConfig{}.HeapSize);
+  ASSERT_GT(100000000u, simlayout::HeapSize);
   for (bool Instrumented : {false, true}) {
     RunResult R = Instrumented ? runInstrumented(Src) : runPlain(Src);
     EXPECT_TRUE(R.ok()) << trapName(R.Trap) << ": " << R.Message;
     EXPECT_EQ(R.ExitCode, 7) << "instrumented=" << Instrumented;
+  }
+}
+
+TEST(VMLimits, OversizedObjectsAreRefused) {
+  // Each object is far larger than its segment (or than 64 bits). None
+  // may wrap an address computation or materialise its bytes on the
+  // host: the frontend rejects what C rejects, and the VM refuses or
+  // traps on what does not fit.
+  auto Build = [](const std::string &Src, bool Instrumented) {
+    PipelinePlan Plan;
+    Plan.frontend(Src).optimize();
+    if (Instrumented)
+      Plan.softbound().checkOpt();
+    return Plan.build();
+  };
+  const std::string Caller = "int g() { return 5 + f(); }\n"
+                             "int main() { return g(); }\n";
+  for (bool Instrumented : {false, true}) {
+    SCOPED_TRACE(Instrumented ? "instrumented" : "plain");
+    // Control: a 3 MB local overflows the 2 MB stack and traps.
+    SessionResult Small = runSession(Build(
+        "int f() { char a[3000000]; a[0] = 1; return 7; }\n" + Caller,
+        Instrumented));
+    EXPECT_EQ(Small.Combined.Trap, TrapKind::StackOverflow)
+        << trapName(Small.Combined.Trap);
+
+    // A 4 GB local must not wrap the frame computation past zero.
+    SessionResult Local = runSession(Build(
+        "int f() { char a[4000000000]; a[0] = 1; return 7; }\n" + Caller,
+        Instrumented));
+    EXPECT_EQ(Local.Combined.Trap, TrapKind::StackOverflow)
+        << trapName(Local.Combined.Trap) << " exit "
+        << Local.Combined.ExitCode;
+    EXPECT_NE(Local.Combined.Message.find("stack exhausted in @"),
+              std::string::npos)
+        << Local.Combined.Message;
+
+    // A negative dimension is a compile error.
+    PipelineResult Negative =
+        Build("int main() { char a[-1]; return 0; }", Instrumented);
+    EXPECT_FALSE(Negative.ok());
+    EXPECT_NE(Negative.errorText().find("negative array dimension"),
+              std::string::npos)
+        << Negative.errorText();
+
+    // So is a dimension that only fits as an unsigned 64-bit literal
+    // (it used to abort the host while zero-filling the initializer),
+    PipelineResult AllOnes = Build(
+        "char g[18446744073709551615];\nint main() { return 0; }",
+        Instrumented);
+    EXPECT_FALSE(AllOnes.ok());
+    // and an array whose byte size overflows 64 bits.
+    PipelineResult Overflow = Build(
+        "long g[3000000000000000000];\nint main() { return 0; }",
+        Instrumented);
+    EXPECT_FALSE(Overflow.ok());
+    EXPECT_NE(Overflow.errorText().find("overflows 64 bits"),
+              std::string::npos)
+        << Overflow.errorText();
+
+    // A 4 GB global does not fit the global segment: the run is refused
+    // by name, and the build never materialises its zero bytes.
+    PipelineResult Global = Build(
+        "char g[4000000000];\nint main() { g[0] = 1; return 0; }",
+        Instrumented);
+    ASSERT_TRUE(Global.ok()) << Global.errorText();
+    SessionResult Big = runSession(Global);
+    EXPECT_EQ(Big.Combined.Trap, TrapKind::OutOfMemory)
+        << trapName(Big.Combined.Trap);
+    EXPECT_NE(Big.Combined.Message.find("@g"), std::string::npos)
+        << Big.Combined.Message;
   }
 }
 
