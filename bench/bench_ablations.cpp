@@ -24,7 +24,7 @@
 ///                      "optimize,softbound,checkopt(range,hoist)") over
 ///                      the counted-loop kernels and print its stats —
 ///                      ablation-by-string for scripts and CI smoke tests.
-///   --list-passes      print the pass registry and exit.
+///   --list-passes      print the pass table and exit.
 ///   --json <path>      write section 5's per-workload, per-config check
 ///                      counts and elision stats as JSON (uploaded as a
 ///                      CI artifact next to the fig2 dump).
@@ -215,14 +215,13 @@ void runCheckOptAblation(const std::string &JsonPath) {
 }
 
 int listPasses() {
-  std::printf("registered pipeline passes:\n");
-  for (const auto &Name : PassRegistry::global().names()) {
-    const PassRegistry::Entry *E = PassRegistry::global().lookup(Name);
-    std::printf("  %-12s %s\n", Name.c_str(), E->Description.c_str());
-    if (!E->Knobs.empty()) {
+  std::printf("pipeline passes:\n");
+  for (const PassRow &P : passTable()) {
+    std::printf("  %-12s %s\n", P.Name, P.Description);
+    if (!P.Knobs.empty()) {
       std::printf("  %-12s knobs:", "");
-      for (const auto &K : E->Knobs)
-        std::printf(" %s", K.c_str());
+      for (const KnobRow &K : P.Knobs)
+        std::printf(" %s", K.Name);
       std::printf("\n");
     }
   }

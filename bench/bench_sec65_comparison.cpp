@@ -52,7 +52,7 @@ int main() {
     // instrumentation and the post-instrumentation cleanup, shadow facility.
     PipelineResult CCProg = mustBuild(
         W.Source,
-        "optimize,softbound(no-reopt),safe-elision,reoptimize,checkopt");
+        "optimize,softbound(no-reopt),checkopt(safe),reoptimize,checkopt");
     Measurement MC = measure(CCProg);
 
     double SB = overheadPct(MSB.R.Counters.Cycles, BaseCycles);

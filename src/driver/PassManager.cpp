@@ -9,147 +9,148 @@
 #include "frontend/Compiler.h"
 #include "ir/Verifier.h"
 #include "opt/Passes.h"
+#include "support/Compiler.h"
 #include "support/Telemetry.h"
 
-#include <algorithm>
 #include <chrono>
+#include <optional>
 
 using namespace softbound;
 
 //===----------------------------------------------------------------------===//
-// Built-in passes
+// The pass table
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// "optimize": the pre-instrumentation optimizer (§6.1 layering).
-class OptimizePass : public ModulePass {
-public:
-  std::string_view name() const override { return "optimize"; }
-  void run(Module &M, PassContext &) const override { optimizeModule(M); }
-};
+/// A checkopt knob that turns one sub-pass on.
+template <bool CheckOptConfig::*Field> KnobRow subPass(const char *Name) {
+  return {Name, false, [](PipelineStep &S) { S.CheckOpt.*Field = true; },
+          [](const PipelineStep &S) { return S.CheckOpt.*Field; }};
+}
 
-/// "softbound": the §3/§5 transformation. Honors its SoftBoundConfig
-/// verbatim, including the internal ReoptimizeAfter cleanup;
-/// "softbound(no-reopt),reoptimize" stages that cleanup as its own pass.
-class SoftBoundModulePass : public ModulePass {
-public:
-  explicit SoftBoundModulePass(SoftBoundConfig Cfg) : Cfg(Cfg) {}
+/// A softbound knob that turns one default-on feature off.
+template <bool SoftBoundConfig::*Field> KnobRow disables(const char *Name) {
+  return {Name, false, [](PipelineStep &S) { S.SB.*Field = false; },
+          [](const PipelineStep &S) { return !(S.SB.*Field); }};
+}
 
-  std::string_view name() const override { return "softbound"; }
+/// A softbound knob that selects a check mode.
+template <CheckMode Mode> KnobRow checkMode(const char *Name) {
+  return {Name, false, [](PipelineStep &S) { S.SB.Mode = Mode; },
+          [](const PipelineStep &S) { return S.SB.Mode == Mode; }};
+}
 
-  std::string spec() const override {
-    std::string S(name());
-    std::vector<std::string> Knobs;
-    if (Cfg.Mode == CheckMode::StoreOnly)
-      Knobs.push_back("store-only");
-    if (Cfg.Mode == CheckMode::None)
-      Knobs.push_back("metadata-only");
-    if (!Cfg.ShrinkBounds)
-      Knobs.push_back("no-shrink");
-    if (!Cfg.InferMemcpyPointerFree)
-      Knobs.push_back("no-memcpy-infer");
-    if (!Cfg.CheckFunctionPointers)
-      Knobs.push_back("no-funcptr-check");
-    if (!Cfg.ReoptimizeAfter)
-      Knobs.push_back("no-reopt");
-    if (Knobs.empty())
-      return S;
-    S += '(';
-    for (size_t I = 0; I < Knobs.size(); ++I)
-      S += (I ? "," : "") + Knobs[I];
-    return S + ')';
+bool anySubPass(const CheckOptConfig &C) {
+  return C.EliminateDominated || C.RangeSubsumption || C.HoistLoopChecks ||
+         C.InterProc || C.Partition || C.ElideSafeChecks;
+}
+
+} // namespace
+
+/// Note the A/B convention checkopt's Reset implies: `partition` is on by
+/// default but any explicit knob list that omits it runs without
+/// partitioning, so spelling out the rest of the default set is the
+/// no-partition baseline. `runtime-limit` is a sub-knob of `hoist` (and
+/// implies it): symbolic-limit hull hoisting behind run-time trip/wrap
+/// guards.
+const std::vector<PassRow> &softbound::passTable() {
+  static const std::vector<PassRow> Table = {
+      {PassKind::CheckOpt,
+       "checkopt",
+       "static check optimization: dominance RCE, range subsumption, "
+       "loop-hull hoisting (with runtime-limit hulls), inter-procedural "
+       "bounds propagation, checked-region partitioning, optional "
+       "CCured-SAFE elision",
+       [](PipelineStep &S) {
+         CheckOptConfig &C = S.CheckOpt;
+         C.EliminateDominated = C.RangeSubsumption = C.HoistLoopChecks =
+             C.RuntimeLimitHulls = C.InterProc = C.Partition =
+                 C.ElideSafeChecks = false;
+       },
+       {subPass<&CheckOptConfig::EliminateDominated>("redundant"),
+        subPass<&CheckOptConfig::RangeSubsumption>("range"),
+        subPass<&CheckOptConfig::HoistLoopChecks>("hoist"),
+        {"runtime-limit", false,
+         [](PipelineStep &S) {
+           S.CheckOpt.HoistLoopChecks = S.CheckOpt.RuntimeLimitHulls = true;
+         },
+         [](const PipelineStep &S) {
+           return S.CheckOpt.HoistLoopChecks && S.CheckOpt.RuntimeLimitHulls;
+         }},
+        subPass<&CheckOptConfig::InterProc>("interproc"),
+        subPass<&CheckOptConfig::Partition>("partition"),
+        subPass<&CheckOptConfig::ElideSafeChecks>("safe"),
+        // Subsystem on, no sub-passes: counts checks, changes nothing.
+        {"none", true, [](PipelineStep &) {},
+         [](const PipelineStep &S) {
+           return S.CheckOpt.Enable && !anySubPass(S.CheckOpt);
+         }},
+        {"off", true, [](PipelineStep &S) { S.CheckOpt.Enable = false; },
+         [](const PipelineStep &S) { return !S.CheckOpt.Enable; }}}},
+      {PassKind::Optimize,
+       "optimize",
+       "pre-instrumentation optimizer (mem2reg, fold, CSE, DCE)",
+       nullptr,
+       {}},
+      {PassKind::Reoptimize,
+       "reoptimize",
+       "post-instrumentation cleanup: redundant-check elim + CSE + DCE",
+       nullptr,
+       {}},
+      // Honors its SoftBoundConfig verbatim, including the internal
+      // ReoptimizeAfter cleanup; "softbound(no-reopt),reoptimize" stages
+      // that cleanup as its own pass.
+      {PassKind::SoftBound,
+       "softbound",
+       "the SoftBound transformation: metadata propagation + spatial checks",
+       nullptr,
+       {checkMode<CheckMode::StoreOnly>("store-only"),
+        checkMode<CheckMode::None>("metadata-only"),
+        disables<&SoftBoundConfig::ShrinkBounds>("no-shrink"),
+        disables<&SoftBoundConfig::InferMemcpyPointerFree>("no-memcpy-infer"),
+        disables<&SoftBoundConfig::CheckFunctionPointers>("no-funcptr-check"),
+        disables<&SoftBoundConfig::ReoptimizeAfter>("no-reopt")}},
+  };
+  return Table;
+}
+
+namespace {
+
+const PassRow &rowOf(PassKind K) {
+  for (const PassRow &R : passTable())
+    if (R.Kind == K)
+      return R;
+  sb_unreachable("pass kind without a table row");
+}
+
+/// The knobs \p S sets, in table order.
+std::vector<const KnobRow *> knobsSet(const PipelineStep &S) {
+  std::vector<const KnobRow *> On;
+  for (const KnobRow &K : rowOf(S.Kind).Knobs)
+    if (K.IsSet(S))
+      On.push_back(&K);
+  return On;
+}
+
+/// Canonical form of one step: the bare name at the default
+/// configuration, an exclusive knob alone, else every knob the
+/// configuration sets. Parsing this back reproduces the step.
+std::string stepSpec(const PipelineStep &S) {
+  const PassRow &P = rowOf(S.Kind);
+  std::vector<const KnobRow *> On = knobsSet(S);
+  if (On == knobsSet(PipelineStep(S.Kind)))
+    return P.Name;
+  for (const KnobRow *K : On)
+    if (K->Exclusive)
+      On = {K};
+  std::string Out = P.Name;
+  for (const KnobRow *K : On) {
+    Out += K == On.front() ? '(' : ',';
+    Out += K->Name;
   }
-
-  void run(Module &M, PassContext &Ctx) const override {
-    Ctx.stats().SB += applySoftBound(M, Cfg);
-    Ctx.stats().Instrumented = true;
-    Ctx.stats().Mode = Cfg.Mode;
-  }
-
-  const SoftBoundConfig Cfg;
-};
-
-/// "reoptimize": the standalone post-instrumentation cleanup, for plans
-/// that stage it explicitly (softbound(no-reopt),reoptimize).
-class ReoptimizePass : public ModulePass {
-public:
-  std::string_view name() const override { return "reoptimize"; }
-  void run(Module &M, PassContext &Ctx) const override {
-    Ctx.stats().SB.ChecksEliminated += reoptimizeInstrumented(M);
-  }
-};
-
-/// "checkopt": the opt/checks/ subsystem with per-sub-pass knobs.
-class CheckOptPass : public ModulePass {
-public:
-  explicit CheckOptPass(CheckOptConfig Cfg) : Cfg(Cfg) {}
-
-  std::string_view name() const override { return "checkopt"; }
-
-  std::string spec() const override {
-    std::string S(name());
-    if (!Cfg.Enable)
-      return S + "(off)";
-    const CheckOptConfig Default;
-    if (Cfg.EliminateDominated == Default.EliminateDominated &&
-        Cfg.RangeSubsumption == Default.RangeSubsumption &&
-        Cfg.HoistLoopChecks == Default.HoistLoopChecks &&
-        Cfg.RuntimeLimitHulls == Default.RuntimeLimitHulls &&
-        Cfg.InterProc == Default.InterProc &&
-        Cfg.Partition == Default.Partition &&
-        Cfg.ElideSafeChecks == Default.ElideSafeChecks)
-      return S;
-    std::vector<std::string> Knobs;
-    if (Cfg.EliminateDominated)
-      Knobs.push_back("redundant");
-    if (Cfg.RangeSubsumption)
-      Knobs.push_back("range");
-    if (Cfg.HoistLoopChecks)
-      Knobs.push_back("hoist");
-    if (Cfg.HoistLoopChecks && Cfg.RuntimeLimitHulls)
-      Knobs.push_back("runtime-limit");
-    if (Cfg.InterProc)
-      Knobs.push_back("interproc");
-    if (Cfg.Partition)
-      Knobs.push_back("partition");
-    if (Cfg.ElideSafeChecks)
-      Knobs.push_back("safe");
-    if (Knobs.empty())
-      return S + "(none)";
-    S += '(';
-    for (size_t I = 0; I < Knobs.size(); ++I)
-      S += (I ? "," : "") + Knobs[I];
-    return S + ')';
-  }
-
-  void run(Module &M, PassContext &Ctx) const override {
-    Ctx.stats().CheckOpt += optimizeChecks(M, Cfg);
-  }
-
-  const CheckOptConfig Cfg;
-};
-
-/// "safe-elision": just the CCured-SAFE sub-pass (§6.5 ablation surface).
-class SafeElisionPass : public ModulePass {
-public:
-  std::string_view name() const override { return "safe-elision"; }
-  void run(Module &M, PassContext &Ctx) const override {
-    CheckOptConfig Cfg;
-    Cfg.EliminateDominated = false;
-    Cfg.RangeSubsumption = false;
-    Cfg.HoistLoopChecks = false;
-    Cfg.RuntimeLimitHulls = false;
-    Cfg.InterProc = false;
-    Cfg.Partition = false;
-    Cfg.ElideSafeChecks = true;
-    Ctx.stats().CheckOpt += optimizeChecks(M, Cfg);
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// Knob parsing
-//===----------------------------------------------------------------------===//
+  return Out + ')';
+}
 
 std::string joinList(const std::vector<std::string> &L) {
   std::string S;
@@ -158,133 +159,49 @@ std::string joinList(const std::vector<std::string> &L) {
   return S;
 }
 
-const std::vector<std::string> SoftBoundKnobs = {
-    "store-only",       "metadata-only", "no-shrink", "no-memcpy-infer",
-    "no-funcptr-check", "no-reopt"};
-
-bool parseSoftBoundKnobs(const std::vector<std::string> &Knobs,
-                         SoftBoundConfig &Cfg, std::string &Err) {
-  for (const auto &K : Knobs) {
-    if (K == "store-only")
-      Cfg.Mode = CheckMode::StoreOnly;
-    else if (K == "metadata-only")
-      Cfg.Mode = CheckMode::None;
-    else if (K == "no-shrink")
-      Cfg.ShrinkBounds = false;
-    else if (K == "no-memcpy-infer")
-      Cfg.InferMemcpyPointerFree = false;
-    else if (K == "no-funcptr-check")
-      Cfg.CheckFunctionPointers = false;
-    else if (K == "no-reopt")
-      Cfg.ReoptimizeAfter = false;
-    else {
-      Err = "softbound: unknown knob '" + K +
-            "' (knobs: " + joinList(SoftBoundKnobs) + ")";
-      return false;
-    }
+/// Builds the step for "Name(Knobs...)", or sets \p Err (naming the
+/// offending pass or knob) and returns nothing.
+std::optional<PipelineStep> makeStep(const std::string &Name,
+                                     const std::vector<std::string> &Knobs,
+                                     std::string &Err) {
+  const PassRow *P = nullptr;
+  std::vector<std::string> Names;
+  for (const PassRow &R : passTable()) {
+    Names.push_back(R.Name);
+    if (Name == R.Name)
+      P = &R;
   }
-  return true;
-}
-
-const std::vector<std::string> CheckOptKnobs = {
-    "redundant", "range",     "hoist", "runtime-limit",
-    "interproc", "partition", "safe",  "none",
-    "off"};
-
-/// An empty knob list means the default configuration; a non-empty list
-/// enables exactly the named sub-passes ("none" enables nothing, "off"
-/// disables the whole subsystem). "runtime-limit" is a sub-knob of
-/// "hoist" (and implies it): symbolic-limit hull hoisting behind run-time
-/// trip/wrap guards. Note the A/B convention this implies: "partition" is
-/// on by default but any explicit knob list that omits it runs without
-/// partitioning, so spelling out the rest of the default set is the
-/// no-partition baseline.
-bool parseCheckOptKnobs(const std::vector<std::string> &Knobs,
-                        CheckOptConfig &Cfg, std::string &Err) {
-  if (Knobs.empty())
-    return true;
-  Cfg.EliminateDominated = false;
-  Cfg.RangeSubsumption = false;
-  Cfg.HoistLoopChecks = false;
-  Cfg.RuntimeLimitHulls = false;
-  Cfg.InterProc = false;
-  Cfg.Partition = false;
-  Cfg.ElideSafeChecks = false;
-  for (const auto &K : Knobs) {
-    if (K == "redundant")
-      Cfg.EliminateDominated = true;
-    else if (K == "range")
-      Cfg.RangeSubsumption = true;
-    else if (K == "hoist")
-      Cfg.HoistLoopChecks = true;
-    else if (K == "runtime-limit")
-      Cfg.HoistLoopChecks = Cfg.RuntimeLimitHulls = true;
-    else if (K == "interproc")
-      Cfg.InterProc = true;
-    else if (K == "partition")
-      Cfg.Partition = true;
-    else if (K == "safe")
-      Cfg.ElideSafeChecks = true;
-    else if (K == "none" || K == "off") {
-      if (Knobs.size() != 1) {
-        Err = "checkopt: knob '" + K + "' cannot be combined with others";
-        return false;
-      }
-      Cfg.Enable = K != "off";
-    } else {
-      Err = "checkopt: unknown knob '" + K +
-            "' (knobs: " + joinList(CheckOptKnobs) + ")";
-      return false;
-    }
+  if (!P) {
+    Err = "unknown pass '" + Name + "' (known: " + joinList(Names) + ")";
+    return std::nullopt;
   }
-  return true;
-}
-
-template <typename PassT>
-PassRegistry::Factory knoblessFactory(const char *Name) {
-  return [Name](const std::vector<std::string> &Knobs,
-                std::string &Err) -> std::shared_ptr<const ModulePass> {
-    if (!Knobs.empty()) {
-      Err = std::string(Name) + ": takes no knobs (got '" + Knobs.front() +
-            "')";
-      return nullptr;
+  if (P->Knobs.empty() && !Knobs.empty()) {
+    Err = Name + ": takes no knobs (got '" + Knobs.front() + "')";
+    return std::nullopt;
+  }
+  PipelineStep S(P->Kind);
+  if (!Knobs.empty() && P->Reset)
+    P->Reset(S);
+  for (const auto &K : Knobs) {
+    const KnobRow *Row = nullptr;
+    std::vector<std::string> KnobNames;
+    for (const KnobRow &R : P->Knobs) {
+      KnobNames.push_back(R.Name);
+      if (K == R.Name)
+        Row = &R;
     }
-    return std::make_shared<PassT>();
-  };
-}
-
-void registerBuiltins(PassRegistry &R) {
-  R.add("optimize", "pre-instrumentation optimizer (mem2reg, fold, CSE, DCE)",
-        {}, knoblessFactory<OptimizePass>("optimize"));
-  R.add("softbound",
-        "the SoftBound transformation: metadata propagation + spatial checks",
-        SoftBoundKnobs,
-        [](const std::vector<std::string> &Knobs,
-           std::string &Err) -> std::shared_ptr<const ModulePass> {
-          SoftBoundConfig Cfg;
-          if (!parseSoftBoundKnobs(Knobs, Cfg, Err))
-            return nullptr;
-          return std::make_shared<SoftBoundModulePass>(Cfg);
-        });
-  R.add("reoptimize",
-        "post-instrumentation cleanup: redundant-check elim + CSE + DCE", {},
-        knoblessFactory<ReoptimizePass>("reoptimize"));
-  R.add("checkopt",
-        "static check optimization: dominance RCE, range subsumption, "
-        "loop-hull hoisting (with runtime-limit hulls), inter-procedural "
-        "bounds propagation, checked-region partitioning, optional "
-        "CCured-SAFE elision",
-        CheckOptKnobs,
-        [](const std::vector<std::string> &Knobs,
-           std::string &Err) -> std::shared_ptr<const ModulePass> {
-          CheckOptConfig Cfg;
-          if (!parseCheckOptKnobs(Knobs, Cfg, Err))
-            return nullptr;
-          return std::make_shared<CheckOptPass>(Cfg);
-        });
-  R.add("safe-elision",
-        "CCured-SAFE static check elision alone (§6.5 comparison)", {},
-        knoblessFactory<SafeElisionPass>("safe-elision"));
+    if (!Row) {
+      Err = Name + ": unknown knob '" + K + "' (knobs: " +
+            joinList(KnobNames) + ")";
+      return std::nullopt;
+    }
+    if (Row->Exclusive && Knobs.size() != 1) {
+      Err = Name + ": knob '" + K + "' cannot be combined with others";
+      return std::nullopt;
+    }
+    Row->Set(S);
+  }
+  return S;
 }
 
 //===----------------------------------------------------------------------===//
@@ -377,51 +294,6 @@ bool parseElement(const std::string &Elem, std::string &Name,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// PassRegistry
-//===----------------------------------------------------------------------===//
-
-PassRegistry &PassRegistry::global() {
-  static PassRegistry R = [] {
-    PassRegistry Init;
-    registerBuiltins(Init);
-    return Init;
-  }();
-  return R;
-}
-
-bool PassRegistry::add(const std::string &Name, std::string Description,
-                       std::vector<std::string> Knobs, Factory Make) {
-  return Entries
-      .emplace(Name, Entry{std::move(Description), std::move(Knobs),
-                           std::move(Make)})
-      .second;
-}
-
-const PassRegistry::Entry *PassRegistry::lookup(const std::string &Name) const {
-  auto It = Entries.find(Name);
-  return It == Entries.end() ? nullptr : &It->second;
-}
-
-std::shared_ptr<const ModulePass>
-PassRegistry::create(const std::string &Name,
-                     const std::vector<std::string> &Knobs,
-                     std::string &Err) const {
-  const Entry *E = lookup(Name);
-  if (!E) {
-    Err = "unknown pass '" + Name + "' (known: " + joinList(names()) + ")";
-    return nullptr;
-  }
-  return E->Make(Knobs, Err);
-}
-
-std::vector<std::string> PassRegistry::names() const {
-  std::vector<std::string> N;
-  for (const auto &[Name, E] : Entries)
-    N.push_back(Name);
-  return N; // std::map iteration is already sorted.
-}
-
-//===----------------------------------------------------------------------===//
 // PipelinePlan
 //===----------------------------------------------------------------------===//
 
@@ -432,55 +304,36 @@ PipelinePlan &PipelinePlan::frontend(std::string Src) {
 }
 
 PipelinePlan &PipelinePlan::optimize() {
-  return pass(std::make_shared<OptimizePass>());
-}
-
-PipelinePlan &PipelinePlan::softbound(SoftBoundConfig Cfg) {
-  return pass(std::make_shared<SoftBoundModulePass>(Cfg));
-}
-
-PipelinePlan &PipelinePlan::reoptimize() {
-  return pass(std::make_shared<ReoptimizePass>());
-}
-
-PipelinePlan &PipelinePlan::checkOpt(CheckOptConfig Cfg) {
-  return pass(std::make_shared<CheckOptPass>(Cfg));
-}
-
-PipelinePlan &PipelinePlan::safeElision() {
-  return pass(std::make_shared<SafeElisionPass>());
-}
-
-PipelinePlan &PipelinePlan::pass(std::shared_ptr<const ModulePass> P) {
-  Passes.push_back(std::move(P));
+  Steps.emplace_back(PassKind::Optimize);
   return *this;
 }
 
-PipelinePlan &PipelinePlan::pass(const std::string &Name) {
-  std::string Err;
-  if (auto P = PassRegistry::global().create(Name, {}, Err))
-    Passes.push_back(std::move(P));
-  else
-    PlanErrors.push_back("pipeline plan: " + Err);
+PipelinePlan &PipelinePlan::softbound(SoftBoundConfig Cfg) {
+  Steps.emplace_back(PassKind::SoftBound, Cfg);
+  return *this;
+}
+
+PipelinePlan &PipelinePlan::checkOpt(CheckOptConfig Cfg) {
+  Steps.emplace_back(PassKind::CheckOpt, SoftBoundConfig{}, Cfg);
   return *this;
 }
 
 bool PipelinePlan::appendSpec(const std::string &Spec, std::string *ErrOut) {
   std::string Err;
   std::vector<std::string> Elems;
-  std::vector<std::shared_ptr<const ModulePass>> Parsed;
+  std::vector<PipelineStep> Parsed;
   if (splitTopLevel(Spec, Elems, Err)) {
     for (const auto &Elem : Elems) {
       std::string Name;
       std::vector<std::string> Knobs;
       if (!parseElement(Elem, Name, Knobs, Err))
         break;
-      auto P = PassRegistry::global().create(Name, Knobs, Err);
-      if (!P) {
+      std::optional<PipelineStep> S = makeStep(Name, Knobs, Err);
+      if (!S) {
         Err = "pipeline spec: " + Err;
         break;
       }
-      Parsed.push_back(std::move(P));
+      Parsed.push_back(*S);
     }
   }
   if (!Err.empty()) {
@@ -488,15 +341,17 @@ bool PipelinePlan::appendSpec(const std::string &Spec, std::string *ErrOut) {
       *ErrOut = Err;
     return false;
   }
-  for (auto &P : Parsed)
-    Passes.push_back(std::move(P));
+  Steps.insert(Steps.end(), Parsed.begin(), Parsed.end());
   return true;
 }
 
 std::string PipelinePlan::spec() const {
   std::string S;
-  for (size_t I = 0; I < Passes.size(); ++I)
-    S += (I ? "," : "") + Passes[I]->spec();
+  for (const PipelineStep &Step : Steps) {
+    if (!S.empty())
+      S += ',';
+    S += stepSpec(Step);
+  }
   return S;
 }
 
@@ -508,11 +363,10 @@ PipelinePlan &PipelinePlan::telemetry(Telemetry *T, std::string Prefix) {
 
 PipelineResult PipelinePlan::build() const {
   PipelineResult Out;
-  Out.Errors = PlanErrors;
-  if (!HaveSource)
+  if (!HaveSource) {
     Out.Errors.push_back("pipeline plan: no frontend source set");
-  if (!Out.Errors.empty())
     return Out;
+  }
 
   CompileResult CR = compileC(Source);
   if (!CR.ok()) {
@@ -528,21 +382,37 @@ PipelineResult PipelinePlan::build() const {
     return Out;
   }
 
-  PassContext Ctx;
+  PipelineStats &Stats = Out.Pipeline;
+  Module &M = *Out.M;
   auto BuildStart = std::chrono::steady_clock::now();
-  for (const auto &P : Passes) {
+  for (const PipelineStep &S : Steps) {
     auto T0 = std::chrono::steady_clock::now();
-    P->run(*Out.M, Ctx);
+    switch (S.Kind) {
+    case PassKind::Optimize:
+      optimizeModule(M);
+      break;
+    case PassKind::SoftBound:
+      Stats.SB += applySoftBound(M, S.SB);
+      Out.Instrumented = true;
+      Out.Mode = S.SB.Mode;
+      break;
+    case PassKind::Reoptimize:
+      Stats.SB.ChecksEliminated += reoptimizeInstrumented(M);
+      break;
+    case PassKind::CheckOpt:
+      Stats.CheckOpt += optimizeChecks(M, S.CheckOpt);
+      break;
+    }
     auto T1 = std::chrono::steady_clock::now();
     double Ms = std::chrono::duration<double, std::milli>(T1 - T0).count();
-    Ctx.stats().Passes.push_back({P->spec(), Ms});
+    std::string Spec = stepSpec(S);
     if (Telem) {
       // Timings mirror into the shared registry; pipeline-phase trace
       // events carry wall-clock offsets from the start of this build
       // (never baseline-gated — see docs/observability.md).
-      Telem->timerMs(TracePrefix + "pass/" + P->spec()) += Ms;
+      Telem->timerMs(TracePrefix + "pass/" + Spec) += Ms;
       Telem->addCompleteEvent(
-          TracePrefix + P->spec(), "pipeline", Telemetry::TidPipeline,
+          TracePrefix + Spec, "pipeline", Telemetry::TidPipeline,
           static_cast<uint64_t>(
               std::chrono::duration_cast<std::chrono::microseconds>(
                   T0 - BuildStart)
@@ -551,25 +421,19 @@ PipelineResult PipelinePlan::build() const {
               std::chrono::duration_cast<std::chrono::microseconds>(T1 - T0)
                   .count()));
     }
-    for (auto &E : verifyModule(*Out.M))
-      Ctx.error("after pass '" + std::string(P->name()) + "': " + E);
-    if (Ctx.hadErrors())
-      break;
-  }
-
-  if (Ctx.hadErrors()) {
-    Out.Errors = Ctx.errors();
-    Out.M.reset();
-    return Out;
+    Stats.Passes.push_back({std::move(Spec), Ms});
+    for (auto &E : verifyModule(M))
+      Out.Errors.push_back("after pass '" + std::string(rowOf(S.Kind).Name) +
+                           "': " + E);
+    if (!Out.Errors.empty()) {
+      Out.M.reset();
+      return Out;
+    }
   }
 
   // Stable profiling site IDs for every check/metadata instruction the
   // final module carries; after the pass loop so hoisting-created checks
   // are named too (docs/observability.md).
-  Out.M->assignCheckSites();
-
-  Out.Pipeline = Ctx.stats();
-  Out.Instrumented = Out.Pipeline.Instrumented;
-  Out.Mode = Out.Pipeline.Mode;
+  M.assignCheckSites();
   return Out;
 }

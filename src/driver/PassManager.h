@@ -5,19 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The composable pipeline API. The paper's toolchain is a *sequence of
-/// passes* (optimize -> SoftBound instrument -> re-optimize ->
-/// check-elimination, §6.1/§6.3); this header makes that sequence an
-/// explicit, first-class object instead of a set of booleans:
+/// The pipeline API. The paper's toolchain is a fixed *sequence of passes*
+/// (optimize -> SoftBound instrument -> re-optimize -> check-elimination,
+/// §6.1/§6.3); this header makes that sequence an explicit object:
 ///
-///   * ModulePass — one named transformation over a verified Module,
-///     recording what it did into a PassContext.
-///   * PassContext — carried through the pipeline; owns the unified
-///     PipelineStats registry (transformation counters, check-optimization
-///     counters, per-pass wall-clock timings) and collects diagnostics.
-///   * PassRegistry — maps stable string names ("optimize", "softbound",
-///     "reoptimize", "checkopt", "safe-elision") to pass factories, so
-///     benches and tests can ablate by string.
+///   * passTable() — the closed set of passes ("optimize", "softbound",
+///     "reoptimize", "checkopt"). Each row names a pass, describes it and
+///     lists its knobs; each knob row says how it sets and reads its
+///     SoftBoundConfig/CheckOptConfig field. The spec parser, the
+///     canonical printer and every diagnostic read this one table.
 ///   * PipelinePlan — a fluent builder:
 ///
 ///       PipelinePlan().frontend(Src).optimize().softbound(Cfg)
@@ -26,6 +22,8 @@
 ///     plus a textual spec parser/printer
 ///     ("optimize,softbound,checkopt(range,redundant,hoist)") with
 ///     round-trip canonicalization via spec().
+///   * PipelineStats — everything build() measured: transformation and
+///     check-optimization counters and per-pass wall-clock timings.
 ///
 /// PipelinePlan is the one way to build a program; driver/Pipeline.h runs
 /// the PipelineResult it returns.
@@ -38,11 +36,8 @@
 #include "opt/checks/CheckOpt.h"
 #include "softbound/SoftBoundPass.h"
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace softbound {
@@ -56,7 +51,7 @@ class Telemetry;
 /// Wall-clock record of one executed pass.
 struct PassTiming {
   std::string Pass;  ///< Canonical pass spec (name plus non-default knobs).
-  double Millis = 0; ///< Time spent inside ModulePass::run.
+  double Millis = 0; ///< Time spent running the pass.
 };
 
 /// The single owner of everything the pipeline measured.
@@ -64,12 +59,9 @@ struct PipelineStats {
   /// SoftBound transformation counters (checks/metadata inserted, calls
   /// rewritten, post-instrumentation eliminations).
   SoftBoundStats SB;
-  /// Check-optimization counters, accumulated across every checkopt /
-  /// safe-elision pass in the plan.
+  /// Check-optimization counters, accumulated across every checkopt pass
+  /// in the plan.
   CheckOptStats CheckOpt;
-  /// Set by the softbound pass.
-  bool Instrumented = false;
-  CheckMode Mode = CheckMode::Full;
   /// Per-pass timings, in execution order.
   std::vector<PassTiming> Passes;
 
@@ -82,83 +74,48 @@ struct PipelineStats {
 };
 
 //===----------------------------------------------------------------------===//
-// Pass interface
+// The pass table
 //===----------------------------------------------------------------------===//
 
-/// Carried through the pipeline: stats registry + diagnostics sink.
-class PassContext {
-public:
-  PipelineStats &stats() { return Stats; }
-  const PipelineStats &stats() const { return Stats; }
+/// The closed set of pipeline passes.
+enum class PassKind { Optimize, SoftBound, Reoptimize, CheckOpt };
 
-  /// Reports a pass failure; the pipeline stops after the current pass.
-  void error(std::string E) { Errors.push_back(std::move(E)); }
-  bool hadErrors() const { return !Errors.empty(); }
-  const std::vector<std::string> &errors() const { return Errors; }
+/// One planned pass: its kind plus the configuration that kind reads
+/// (SB for softbound, CheckOpt for checkopt; the others take none).
+struct PipelineStep {
+  explicit PipelineStep(PassKind Kind, SoftBoundConfig SB = {},
+                        CheckOptConfig CheckOpt = {})
+      : Kind(Kind), SB(SB), CheckOpt(CheckOpt) {}
 
-private:
-  PipelineStats Stats;
-  std::vector<std::string> Errors;
+  PassKind Kind;
+  SoftBoundConfig SB;
+  CheckOptConfig CheckOpt;
 };
 
-/// One named module transformation. Implementations are immutable after
-/// construction (configuration is baked in), so plans can share them.
-class ModulePass {
-public:
-  virtual ~ModulePass() = default;
-
-  /// Stable registry name ("softbound", "checkopt", ...).
-  virtual std::string_view name() const = 0;
-
-  /// Canonical textual form: the name, plus parenthesized knobs when the
-  /// configuration differs from the registered default. Feeding this back
-  /// through the spec parser reproduces the pass exactly.
-  virtual std::string spec() const { return std::string(name()); }
-
-  /// Runs over \p M, which is verifier-clean on entry and must stay so.
-  virtual void run(Module &M, PassContext &Ctx) const = 0;
+/// One knob of a pass: its spec name and how it sets and reads the
+/// configuration field behind it.
+struct KnobRow {
+  const char *Name;
+  /// Must be the only knob in its list ("checkopt(off)").
+  bool Exclusive;
+  void (*Set)(PipelineStep &);
+  bool (*IsSet)(const PipelineStep &);
 };
 
-//===----------------------------------------------------------------------===//
-// Registry
-//===----------------------------------------------------------------------===//
-
-/// String-keyed pass factory table. The five built-in phases are
-/// pre-registered; a new optimization is one `add` call.
-class PassRegistry {
-public:
-  /// Builds a pass from spec knobs. On failure, sets \p Err (naming the
-  /// offending knob) and returns null.
-  using Factory = std::function<std::shared_ptr<const ModulePass>(
-      const std::vector<std::string> &Knobs, std::string &Err)>;
-
-  struct Entry {
-    std::string Description;        ///< One line, for --list-passes/docs.
-    std::vector<std::string> Knobs; ///< Accepted knob names, for diagnostics.
-    Factory Make;
-  };
-
-  /// The process-wide registry, with built-ins pre-registered.
-  static PassRegistry &global();
-
-  /// Registers \p Name; returns false (and changes nothing) if taken.
-  bool add(const std::string &Name, std::string Description,
-           std::vector<std::string> Knobs, Factory Make);
-
-  const Entry *lookup(const std::string &Name) const;
-
-  /// Creates a configured pass, or null with a diagnostic in \p Err
-  /// ("unknown pass", "unknown knob") suitable for showing verbatim.
-  std::shared_ptr<const ModulePass>
-  create(const std::string &Name, const std::vector<std::string> &Knobs,
-         std::string &Err) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-
-private:
-  std::map<std::string, Entry> Entries;
+/// One pass: its spec name, a one-line description and its knobs.
+struct PassRow {
+  PassKind Kind;
+  const char *Name;
+  const char *Description;
+  /// Applied before an explicit (non-empty) knob list, so that the list
+  /// names the whole selection; null when knobs only adjust the default.
+  void (*Reset)(PipelineStep &);
+  std::vector<KnobRow> Knobs;
 };
+
+/// Every pass, in name order. The spec parser, spec() and the
+/// unknown-pass/unknown-knob diagnostics all read this table.
+const std::vector<PassRow> &passTable();
 
 //===----------------------------------------------------------------------===//
 // Pipeline plan
@@ -170,8 +127,8 @@ struct PipelineResult {
   /// Single owner of all pipeline statistics.
   PipelineStats Pipeline;
   std::vector<std::string> Errors;
-  bool Instrumented = false;
-  CheckMode Mode = CheckMode::Full;
+  bool Instrumented = false;        ///< Set by the softbound pass.
+  CheckMode Mode = CheckMode::Full; ///< The softbound pass's check mode.
 
   bool ok() const { return M != nullptr && Errors.empty(); }
   std::string errorText() const {
@@ -182,9 +139,8 @@ struct PipelineResult {
   }
 };
 
-/// A frontend source plus an ordered pass sequence. Cheap to copy (passes
-/// are shared and immutable). Misuse (unknown pass name, spec typo pushed
-/// through pass()) is reported by build(), never by aborting.
+/// A frontend source plus an ordered pass sequence. Cheap to copy. Misuse
+/// (no source set) is reported by build(), never by aborting.
 class PipelinePlan {
 public:
   PipelinePlan() = default;
@@ -192,19 +148,10 @@ public:
   /// Sets the mini-C source the plan compiles. Required before build().
   PipelinePlan &frontend(std::string Source);
 
-  // Fluent appenders for the built-in phases.
-  PipelinePlan &optimize();                            ///< "optimize"
-  PipelinePlan &softbound(SoftBoundConfig Cfg = {});   ///< "softbound"
-  PipelinePlan &reoptimize();                          ///< "reoptimize"
-  PipelinePlan &checkOpt(CheckOptConfig Cfg = {});     ///< "checkopt"
-  PipelinePlan &safeElision();                         ///< "safe-elision"
-
-  /// Appends a custom pass instance.
-  PipelinePlan &pass(std::shared_ptr<const ModulePass> P);
-
-  /// Appends a registered pass by name with default knobs; an unknown
-  /// name becomes a build() error.
-  PipelinePlan &pass(const std::string &Name);
+  // Fluent appenders.
+  PipelinePlan &optimize();                          ///< "optimize"
+  PipelinePlan &softbound(SoftBoundConfig Cfg = {}); ///< "softbound"
+  PipelinePlan &checkOpt(CheckOptConfig Cfg = {});   ///< "checkopt"
 
   /// Parses a comma-separated pipeline spec — e.g.
   /// "optimize,softbound,checkopt(range,redundant,hoist)" — and appends
@@ -219,11 +166,13 @@ public:
   /// module or its statistics.
   PipelinePlan &telemetry(Telemetry *T, std::string TracePrefix = "");
 
-  /// Canonical spec of the whole plan (pass specs joined by commas).
-  /// Round-trips: appendSpec(spec()) rebuilds an equivalent plan.
+  /// Canonical spec of the whole plan (pass specs joined by commas): each
+  /// pass prints bare at its default configuration, else with the knobs
+  /// its configuration sets. Round-trips: appendSpec(spec()) rebuilds an
+  /// equivalent plan.
   std::string spec() const;
 
-  size_t size() const { return Passes.size(); }
+  size_t size() const { return Steps.size(); }
 
   /// Compiles, verifies, then runs each pass in order (re-verifying after
   /// each and attributing failures to the offending pass), and returns the
@@ -233,8 +182,7 @@ public:
 private:
   std::string Source;
   bool HaveSource = false;
-  std::vector<std::shared_ptr<const ModulePass>> Passes;
-  std::vector<std::string> PlanErrors; ///< Deferred to build().
+  std::vector<PipelineStep> Steps;
   Telemetry *Telem = nullptr;
   std::string TracePrefix;
 };

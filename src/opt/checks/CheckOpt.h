@@ -31,8 +31,7 @@
 ///      check whose pointer is an all-constant, per-index-validated GEP
 ///      chain into a known-size stack or global object, with the access
 ///      contained in the object, is deleted outright — the §6.5 CCured
-///      comparison knob (the `checkopt(safe)` knob or the `safe-elision`
-///      pass).
+///      comparison knob (`checkopt(safe)` in pipeline specs).
 ///   5. Inter-procedural bounds propagation (InterProc.h, module-level):
 ///      a call-graph pass that elides callee-side checks every direct
 ///      call site already proves, turns callee-guaranteed checks into

@@ -7,10 +7,9 @@
 /// \file
 /// Keeps docs/ from rotting: the pass and knob tables in docs/pipeline.md
 /// (between `<!-- drift:... -->` markers) must name exactly the passes
-/// and knobs the live PassRegistry exposes, in both directions — a pass
-/// or knob added, renamed, or removed without a doc update fails here,
-/// and a documented name that no longer parses fails too. Also pins the
-/// README-defers-to-docs structure.
+/// and knobs of the live pass table, in both directions — a pass or knob
+/// added, renamed, or removed without a doc update fails here. Also pins
+/// the README-defers-to-docs structure.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,58 +90,36 @@ std::string joined(const std::set<std::string> &S) {
   return Out;
 }
 
-TEST(DocsDrift, PassTableMatchesRegistry) {
+TEST(DocsDrift, PassTableMatchesDoc) {
   std::string Doc = readFile("docs/pipeline.md");
   std::set<std::string> Documented = firstColumn(driftRegion(Doc, "passes"));
   ASSERT_FALSE(Documented.empty())
       << "docs/pipeline.md lost its drift:passes table";
 
-  std::set<std::string> Registered;
-  for (const auto &N : PassRegistry::global().names())
-    Registered.insert(N);
+  std::set<std::string> Tabled;
+  for (const PassRow &P : passTable())
+    Tabled.insert(P.Name);
 
-  EXPECT_EQ(Documented, Registered)
-      << "docs/pipeline.md pass table != PassRegistry\n  documented: "
-      << joined(Documented) << "\n  registered: " << joined(Registered);
+  EXPECT_EQ(Documented, Tabled)
+      << "docs/pipeline.md pass table != passTable()\n  documented: "
+      << joined(Documented) << "\n  in the table: " << joined(Tabled);
 }
 
-TEST(DocsDrift, KnobTablesMatchRegistry) {
+TEST(DocsDrift, KnobTablesMatchDoc) {
   std::string Doc = readFile("docs/pipeline.md");
   // Every pass that accepts knobs must have a drift-checked knob table,
-  // and each table must name exactly the registry's knob list.
-  for (const auto &Name : PassRegistry::global().names()) {
-    const PassRegistry::Entry *E = PassRegistry::global().lookup(Name);
-    ASSERT_NE(E, nullptr) << Name;
+  // and each table must name exactly the pass table's knobs.
+  for (const PassRow &P : passTable()) {
     std::set<std::string> Documented =
-        firstColumn(driftRegion(Doc, "knobs " + Name));
-    if (E->Knobs.empty()) {
-      EXPECT_TRUE(Documented.empty())
-          << Name << " takes no knobs but has a knob table";
-      continue;
-    }
-    std::set<std::string> Registered(E->Knobs.begin(), E->Knobs.end());
-    EXPECT_EQ(Documented, Registered)
-        << "docs/pipeline.md '" << Name
-        << "' knob table != registry\n  documented: " << joined(Documented)
-        << "\n  registered: " << joined(Registered);
+        firstColumn(driftRegion(Doc, std::string("knobs ") + P.Name));
+    std::set<std::string> Tabled;
+    for (const KnobRow &K : P.Knobs)
+      Tabled.insert(K.Name);
+    EXPECT_EQ(Documented, Tabled)
+        << "docs/pipeline.md '" << P.Name
+        << "' knob table != passTable()\n  documented: " << joined(Documented)
+        << "\n  in the table: " << joined(Tabled);
   }
-}
-
-TEST(DocsDrift, DocumentedCheckOptKnobsActuallyParse) {
-  // The registry's knob *list* is only diagnostics; tie each documented
-  // knob to the real CheckOptConfig parser by constructing a pass with
-  // it. A doc'd knob the parser rejects — or a phantom knob it accepts —
-  // is drift of the worst kind.
-  std::string Doc = readFile("docs/pipeline.md");
-  for (const auto &Knob : firstColumn(driftRegion(Doc, "knobs checkopt"))) {
-    std::string Err;
-    auto P = PassRegistry::global().create("checkopt", {Knob}, Err);
-    EXPECT_NE(P, nullptr) << "documented checkopt knob '" << Knob
-                          << "' no longer parses: " << Err;
-  }
-  std::string Err;
-  EXPECT_EQ(PassRegistry::global().create("checkopt", {"no-such-knob"}, Err),
-            nullptr);
 }
 
 TEST(DocsDrift, ReadmeDefersToDocs) {
@@ -159,12 +136,17 @@ TEST(DocsDrift, ReadmeDefersToDocs) {
 
   // The subsystem book documents every checkopt knob by name.
   std::string Book = readFile("docs/checkopt.md");
-  const PassRegistry::Entry *E = PassRegistry::global().lookup("checkopt");
-  ASSERT_NE(E, nullptr);
-  for (const auto &Knob : E->Knobs)
-    if (Knob != "none" && Knob != "off")
-      EXPECT_NE(Book.find("`" + Knob + "`"), std::string::npos)
-          << "docs/checkopt.md no longer mentions knob '" << Knob << "'";
+  for (const PassRow &P : passTable()) {
+    if (P.Kind != PassKind::CheckOpt)
+      continue;
+    for (const KnobRow &K : P.Knobs) {
+      if (!K.Exclusive) {
+        EXPECT_NE(Book.find(std::string("`") + K.Name + "`"),
+                  std::string::npos)
+            << "docs/checkopt.md no longer mentions knob '" << K.Name << "'";
+      }
+    }
+  }
 }
 
 TEST(DocsDrift, RuntimeDocCurrent) {
@@ -234,10 +216,12 @@ TEST(DocsDrift, RuntimeDocCurrent) {
 TEST(DocsDrift, PipelineDocCurrent) {
   // PipelinePlan is the one build API. The pipeline doc gives the §6.5
   // CCured-like spec, and no doc names the retired build wrappers, the
-  // result alias or the old elision flag and knob. Spelled in pieces so
-  // that a repository-wide search for the retired names comes back empty.
+  // result alias, the old elision flag and knob, the pass registry and
+  // its virtual pass classes, or the elision pass alias. Spelled in
+  // pieces so that a repository-wide search for the retired names comes
+  // back empty.
   EXPECT_NE(readFile("docs/pipeline.md")
-                .find("optimize,softbound(no-reopt),safe-elision,"
+                .find("optimize,softbound(no-reopt),checkopt(safe),"
                       "reoptimize,checkopt"),
             std::string::npos)
       << "docs/pipeline.md no longer gives the CCured-like spec";
@@ -246,7 +230,9 @@ TEST(DocsDrift, PipelineDocCurrent) {
     std::string Doc = readFile(Path);
     for (const char *Gone :
          {"Build" "Options", "build" "Program", "planFrom" "Build",
-          "Build" "Result", "ElideSafe" "PointerChecks", "elide" "-safe"})
+          "Build" "Result", "ElideSafe" "PointerChecks", "elide" "-safe",
+          "Pass" "Registry", "Module" "Pass", "Pass" "Context",
+          "safe" "-elision"})
       EXPECT_EQ(Doc.find(Gone), std::string::npos)
           << Path << " still mentions retired '" << Gone << "'";
   }
