@@ -123,8 +123,6 @@ int main() { return apply(twice, 21) == 42 ? 0 : 1; }
   ObjectTableChecker OT;
   RunRequest ROT;
   ROT.Checker = &OT;
-  ROT.RedzonePad = 16;
-  ROT.GlobalPad = 16;
   bool ObjTableSubObject =
       runSession(PipelinePlan().frontend(SubObjectProbe).optimize(), ROT)
           .Combined.violationDetected();

@@ -46,14 +46,11 @@ int main() {
     MemcheckLite MC;
     RunRequest RMC;
     RMC.Checker = &MC;
-    RMC.RedzonePad = MemcheckLite::RecommendedRedzone;
     bool Valgrind = runSession(Plain, RMC).Combined.violationDetected();
 
     ObjectTableChecker OT;
     RunRequest ROT;
     ROT.Checker = &OT;
-    ROT.RedzonePad = 16;
-    ROT.GlobalPad = 16;
     bool Mudflap = runSession(mustBuild(Bug.Source, "optimize"), ROT)
                        .Combined.violationDetected();
 

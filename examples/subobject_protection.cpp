@@ -56,8 +56,6 @@ int main() {
   ObjectTableChecker OT;
   RunRequest R;
   R.Checker = &OT;
-  R.RedzonePad = 16;
-  R.GlobalPad = 16;
   RunResult Obj = runSession(Uninstrumented, R).Combined;
   std::printf("object table (mudflap): trap=%s  <- in-object overflow "
               "invisible\n",

@@ -7,10 +7,11 @@
 /// \file
 /// A red-zone heap checker in the spirit of Valgrind's memcheck as the
 /// paper uses it (Table 4): accesses inside the heap segment must hit a
-/// live allocation; the VM's RedzonePad keeps allocations apart so small
-/// overflows land in no-man's land. Stack and global accesses are not
-/// checked — which is why this baseline misses the `go`/`compress` bugs in
-/// the Table 4 reproduction, just as Valgrind did in the paper.
+/// live allocation; a 16-byte heap red zone (heapPad) keeps allocations
+/// apart so small overflows land in no-man's land. Stack and global
+/// accesses are not checked — which is why this baseline misses the
+/// `go`/`compress` bugs in the Table 4 reproduction, just as Valgrind did
+/// in the paper.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +28,6 @@ namespace softbound {
 /// Tracks live heap blocks; flags heap accesses outside any live block.
 class MemcheckLite : public MemoryChecker {
 public:
-  /// The recommended VM configuration sets RedzonePad to this value.
-  static constexpr uint64_t RecommendedRedzone = 16;
-
   const char *name() const override { return "memcheck"; }
 
   void onAlloc(ObjectRegion Region, uint64_t Addr, uint64_t Size) override {
@@ -55,6 +53,8 @@ public:
   /// published slowdowns are an order of magnitude; we only need its
   /// detection profile, so a flat moderate cost suffices).
   uint64_t accessCost() const override { return 12; }
+
+  uint64_t heapPad() const override { return 16; }
 
   void reset() override { Blocks.clear(); }
 

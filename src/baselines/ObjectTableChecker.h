@@ -64,6 +64,10 @@ public:
 
   uint64_t accessCost() const override { return LastCost; }
 
+  /// Mudflap-style guard zones around heap blocks and globals.
+  uint64_t heapPad() const override { return 16; }
+  uint64_t globalPad() const override { return 16; }
+
   void reset() override {
     Objects.clear();
     Comparisons = 0;

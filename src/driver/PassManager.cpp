@@ -109,7 +109,6 @@ const std::vector<PassRow> &softbound::passTable() {
         checkMode<CheckMode::None>("metadata-only"),
         disables<&SoftBoundConfig::ShrinkBounds>("no-shrink"),
         disables<&SoftBoundConfig::InferMemcpyPointerFree>("no-memcpy-infer"),
-        disables<&SoftBoundConfig::CheckFunctionPointers>("no-funcptr-check"),
         disables<&SoftBoundConfig::ReoptimizeAfter>("no-reopt")}},
   };
   return Table;

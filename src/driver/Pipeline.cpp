@@ -51,8 +51,6 @@ SessionResult softbound::runSession(const PipelineResult &Prog,
   VMConfig Cfg;
   Cfg.StepLimit = Req.StepLimit;
   Cfg.Checker = Req.Checker;
-  Cfg.RedzonePad = Req.RedzonePad;
-  Cfg.GlobalPad = Req.GlobalPad;
   Cfg.CheckCost = Req.CheckCost;
 
   if (Prog.Instrumented) {

@@ -42,8 +42,6 @@ enum class FacilityKind { Shadow, Hash };
 struct RunRequest {
   FacilityKind Facility = FacilityKind::Shadow;
   MemoryChecker *Checker = nullptr; ///< Baseline checker (uninstrumented).
-  uint64_t RedzonePad = 0;          ///< Heap red-zone padding.
-  uint64_t GlobalPad = 0;           ///< Global guard padding.
   /// Number of interpreter lanes. Every session runs through the same
   /// lane runner and merge; the default 1 runs its one lane inline on
   /// the caller's thread over the whole stack segment, with a

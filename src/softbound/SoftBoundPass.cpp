@@ -527,8 +527,9 @@ BasicBlock::iterator SoftBoundTransform::handleCall(CallInst *CI,
   if (Callee && (Callee->isBuiltin() || !Callee->isDefinition()))
     return handleBuiltinCall(CI, Callee, BB, It);
 
-  // Indirect calls are checked against the function-pointer encoding.
-  if (!Callee && Cfg.CheckFunctionPointers && Cfg.Mode != CheckMode::None) {
+  // Indirect calls are checked against the base==bound==ptr
+  // function-pointer encoding (§5.2).
+  if (!Callee && Cfg.Mode != CheckMode::None) {
     insertBefore(BB, It,
                  new FuncPtrCheckInst(Ctx.voidTy(), CI->callee(),
                                       getBounds(CI->callee())));

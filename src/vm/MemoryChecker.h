@@ -42,6 +42,12 @@ public:
   /// Simulated instruction cost charged per validated access.
   virtual uint64_t accessCost() const = 0;
 
+  /// Unusable bytes the VM leaves after each heap block (red zone), so
+  /// small overflows land between objects.
+  virtual uint64_t heapPad() const { return 0; }
+  /// Guard bytes the VM leaves after each global.
+  virtual uint64_t globalPad() const { return 0; }
+
   /// Resets all state between runs.
   virtual void reset() = 0;
 };

@@ -179,7 +179,6 @@ private:
     uint64_t SavedFP = 0;
     uint64_t Gen = 0;
     const CallInst *CallSite = nullptr; ///< Call in the *caller* frame.
-    std::vector<VMVal> VarArgs;
     std::vector<std::pair<uint64_t, uint64_t>> Allocas;
     uint64_t EntryCycle = 0; ///< C.Cycles at frame entry (trace events).
   };
@@ -388,9 +387,10 @@ void VM::loadImage() {
   for (const auto &G : M.globals()) {
     uint64_t Size = G->valueType()->sizeInBytes();
     // Checker baselines (Mudflap-style) pad objects with guard zones.
+    uint64_t Pad = Cfg.Checker ? Cfg.Checker->globalPad() : 0;
     uint64_t Addr = Size > GlobalSize
                         ? 0
-                        : Mem.allocateGlobal(Size + Cfg.GlobalPad,
+                        : Mem.allocateGlobal(Size + Pad,
                                              G->valueType()->alignment());
     if (!Addr) {
       LoadError = "global segment exhausted by @" + G->name() + " (" +
@@ -533,9 +533,6 @@ bool VMExec::pushFrame(Function *F, const std::vector<VMVal> &Args,
   Fr.Regs.assign(F->numRegs(), VMVal());
   for (unsigned I = 0; I < F->numArgs() && I < Args.size(); ++I)
     Fr.Regs[F->arg(I)->slot()] = Args[I];
-  if (F->functionType()->isVarArg())
-    for (size_t I = F->numArgs(); I < Args.size(); ++I)
-      Fr.VarArgs.push_back(Args[I]);
 
   for (auto &[AI, Addr] : AllocaAddrs) {
     Fr.Regs[AI->slot()] = VMVal{Addr, 0, 0};
@@ -1148,7 +1145,8 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
     sb_unreachable("dispatched a non-builtin");
   case Builtin::Malloc: {
     uint64_t Size = A[0].A;
-    uint64_t Addr = Mem.heapAlloc(Size, Cfg.RedzonePad);
+    uint64_t Addr =
+        Mem.heapAlloc(Size, Cfg.Checker ? Cfg.Checker->heapPad() : 0);
     C.Cycles += 30;
     if (Addr && Cfg.Checker)
       Cfg.Checker->onAlloc(ObjectRegion::Heap, Addr, Size);

@@ -184,8 +184,6 @@ struct VMConfig {
   WrapperMode Wrappers = WrapperMode::Full;
   uint64_t StepLimit = 4'000'000'000ULL;
   uint64_t CheckCost = 3;      ///< Simulated instructions per bounds check.
-  uint64_t RedzonePad = 0;     ///< Heap padding for checker baselines.
-  uint64_t GlobalPad = 0;      ///< Global padding for checker baselines.
   bool Instrumented = false;   ///< Module carries SoftBound instrumentation.
   size_t OutputLimit = 1u << 20;
   uint64_t MaxFrames = 100'000;

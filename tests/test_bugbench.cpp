@@ -32,19 +32,17 @@ bool detectedByMemcheck(const std::string &Src) {
   MemcheckLite Checker;
   RunRequest R;
   R.Checker = &Checker;
-  R.RedzonePad = MemcheckLite::RecommendedRedzone;
   return runSession(PipelinePlan().frontend(Src).optimize(), R)
       .Combined.violationDetected();
 }
 
 bool detectedByObjTable(const std::string &Src) {
   // Mudflap-style deployments pad tracked objects with guard zones so
-  // off-by-one overflows into a neighbour are distinguishable.
+  // off-by-one overflows into a neighbour are distinguishable; the
+  // checker declares its own pads.
   ObjectTableChecker Checker;
   RunRequest R;
   R.Checker = &Checker;
-  R.RedzonePad = 16;
-  R.GlobalPad = 16;
   return runSession(PipelinePlan().frontend(Src).optimize(), R)
       .Combined.violationDetected();
 }

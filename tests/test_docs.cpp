@@ -217,9 +217,9 @@ TEST(DocsDrift, PipelineDocCurrent) {
   // PipelinePlan is the one build API. The pipeline doc gives the §6.5
   // CCured-like spec, and no doc names the retired build wrappers, the
   // result alias, the old elision flag and knob, the pass registry and
-  // its virtual pass classes, or the elision pass alias. Spelled in
-  // pieces so that a repository-wide search for the retired names comes
-  // back empty.
+  // its virtual pass classes, the elision pass alias or the
+  // function-pointer knob. Spelled in pieces so that a repository-wide
+  // search for the retired names comes back empty.
   EXPECT_NE(readFile("docs/pipeline.md")
                 .find("optimize,softbound(no-reopt),checkopt(safe),"
                       "reoptimize,checkopt"),
@@ -232,7 +232,7 @@ TEST(DocsDrift, PipelineDocCurrent) {
          {"Build" "Options", "build" "Program", "planFrom" "Build",
           "Build" "Result", "ElideSafe" "PointerChecks", "elide" "-safe",
           "Pass" "Registry", "Module" "Pass", "Pass" "Context",
-          "safe" "-elision"})
+          "safe" "-elision", "no-funcptr" "-check"})
       EXPECT_EQ(Doc.find(Gone), std::string::npos)
           << Path << " still mentions retired '" << Gone << "'";
   }
