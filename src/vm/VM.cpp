@@ -1299,9 +1299,9 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
     uint64_t P = A[0].A, Q = A[1].A;
     int64_t Out = 0;
     uint64_t N = 0;
-    for (;; ++N, ++P, ++Q) {
+    for (;; ++N) {
       uint64_t X, Y;
-      if (!Mem.read(P, 1, X) || !Mem.read(Q, 1, Y)) {
+      if (!Mem.read(P + N, 1, X) || !Mem.read(Q + N, 1, Y)) {
         trap(TrapKind::Segfault, "strcmp ran off mapped memory");
         return;
       }
@@ -1312,6 +1312,12 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
       if (X == 0)
         break;
     }
+    // Each operand had N + 1 bytes read: the equal prefix plus the byte
+    // that differed or ended both strings.
+    if (B == Builtin::SBStrcmp &&
+        (!wrapperCheckLoad(P, N + 1, A[2], "strcmp") ||
+         !wrapperCheckLoad(Q, N + 1, A[3], "strcmp")))
+      return;
     C.Cycles += 2 + N;
     Ret(VMVal{static_cast<uint64_t>(Out), 0, 0});
     return;

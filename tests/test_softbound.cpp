@@ -317,6 +317,39 @@ TEST(SoftBoundDetect, NegativeIndexUnderflow) {
   EXPECT_EQ(runSB(Src, CheckMode::Full).Trap, TrapKind::SpatialViolation);
 }
 
+TEST(SoftBoundDetect, StringWrappersCheckTheBytesTheyRead) {
+  // a[4] holds "abcd" with no NUL, so both strlen(a) and strcmp read
+  // past its end; strcmp must check each operand over the bytes it
+  // compared, whichever side the unterminated string is on.
+  auto Src = [](const char *Use) {
+    return std::string("int main() {\n"
+                       "  char a[4]; char b[8];\n"
+                       "  a[0] = 'a'; a[1] = 'b'; a[2] = 'c'; a[3] = 'd';\n"
+                       "  strcpy(b, \"abcdxyz\");\n"
+                       "  return ") +
+           Use + ";\n}";
+  };
+  RunResult Len = runSB(Src("(int)strlen(a)"), CheckMode::Full);
+  EXPECT_EQ(Len.Trap, TrapKind::SpatialViolation);
+  EXPECT_EQ(Len.Message, "softbound: out-of-bounds load in strlen wrapper");
+  for (const char *Use : {"strcmp(a, b)", "strcmp(b, a)"}) {
+    RunResult R = runSB(Src(Use), CheckMode::Full);
+    EXPECT_EQ(R.Trap, TrapKind::SpatialViolation) << Use;
+    EXPECT_EQ(R.Message, "softbound: out-of-bounds load in strcmp wrapper")
+        << Use;
+  }
+
+  // In bounds: "abc" vs "abd" compares four bytes of each operand.
+  RunResult In = runSB("int main() {\n"
+                       "  char a[8]; char b[4];\n"
+                       "  strcpy(a, \"abc\"); strcpy(b, \"abd\");\n"
+                       "  return strcmp(a, b) + 5;\n"
+                       "}",
+                       CheckMode::Full);
+  EXPECT_TRUE(In.ok()) << In.Message;
+  EXPECT_EQ(In.ExitCode, 4);
+}
+
 TEST(SoftBoundDetect, OutOfBoundsPointerCreationIsAllowed) {
   // C allows creating out-of-bounds pointers; only dereferences trap
   // (§3.1 "pointer arithmetic and pointer assignment").
