@@ -391,37 +391,8 @@ bool Parser::run() {
   Scopes.emplace_back(); // Global scope.
 
   // Pre-declare the builtin library.
-  auto DeclBuiltin = [&](const char *Name, Type *Ret,
-                         std::vector<Type *> Params, bool VarArg = false) {
-    Function *F =
-        M.createFunction(Name, Ctx.funcTy(Ret, std::move(Params), VarArg),
-                         /*Builtin=*/true);
-    Binding Bd;
-    Bd.F = F;
-    Scopes.front()[Name] = Bd;
-  };
-  Type *I8P = Ctx.ptrTo(Ctx.i8());
-  Type *I64P = Ctx.ptrTo(Ctx.i64());
-  DeclBuiltin("malloc", I8P, {Ctx.i64()});
-  DeclBuiltin("free", Ctx.voidTy(), {I8P});
-  DeclBuiltin("memcpy", I8P, {I8P, I8P, Ctx.i64()});
-  DeclBuiltin("memset", I8P, {I8P, Ctx.i32(), Ctx.i64()});
-  DeclBuiltin("strlen", Ctx.i64(), {I8P});
-  DeclBuiltin("strcpy", I8P, {I8P, I8P});
-  DeclBuiltin("strcat", I8P, {I8P, I8P});
-  DeclBuiltin("strcmp", Ctx.i32(), {I8P, I8P});
-  DeclBuiltin("print_int", Ctx.voidTy(), {Ctx.i64()});
-  DeclBuiltin("print_char", Ctx.voidTy(), {Ctx.i32()});
-  DeclBuiltin("print_str", Ctx.voidTy(), {I8P});
-  DeclBuiltin("exit", Ctx.voidTy(), {Ctx.i32()});
-  DeclBuiltin("sb_rand", Ctx.i64(), {});
-  DeclBuiltin("sb_srand", Ctx.voidTy(), {Ctx.i64()});
-  DeclBuiltin("setjmp", Ctx.i32(), {I64P});
-  DeclBuiltin("longjmp", Ctx.voidTy(), {I64P, Ctx.i32()});
-  DeclBuiltin("sb_guard", Ctx.i32(), {});
-  DeclBuiltin("sb_request_end", Ctx.voidTy(), {});
-  DeclBuiltin("__setbound", I8P, {I8P, Ctx.i64()});
-  DeclBuiltin("__unbound", I8P, {I8P});
+  for (const BuiltinRow &R : builtinTable())
+    Scopes.front()[R.Name] = Binding{.F = M.declareBuiltin(R.Id)};
 
   try {
     while (!is(Tok::End))
@@ -492,26 +463,15 @@ void Parser::parseStructDef(bool IsUnion) {
 void Parser::parseFunctionRest(Type *RetTy, const std::string &Name,
                                FunctionType *FnTy,
                                const std::vector<std::string> &ParamNames) {
-  // Prototype only?
-  if (accept(Tok::Semi)) {
-    if (!M.getFunction(Name)) {
-      Function *F = M.createFunction(Name, FnTy);
-      Binding Bd;
-      Bd.F = F;
-      Scopes.front()[Name] = Bd;
-    }
-    return;
-  }
-
   Function *F = M.getFunction(Name);
   if (!F) {
     F = M.createFunction(Name, FnTy);
-    Binding Bd;
-    Bd.F = F;
-    Scopes.front()[Name] = Bd;
-  } else if (F->isDefinition()) {
-    error("redefinition of function " + Name);
+    Scopes.front()[Name] = Binding{.F = F};
   }
+  if (accept(Tok::Semi))
+    return; // Prototype only.
+  if (F->isDefinition())
+    error("redefinition of function " + Name);
 
   CurFn = F;
   EntryBlock = F->createBlock("entry");
@@ -777,7 +737,7 @@ void Parser::parseLocalDecl() {
           GlobalVariable *S = M.createStringLiteral(cur().Text);
           uint64_t N = cur().Text.size() + 1;
           next();
-          Function *Memcpy = M.getFunction("memcpy");
+          Function *Memcpy = M.declareBuiltin(Builtin::Memcpy);
           Value *Dst = B.gep(AT, Slot, {M.constI64(0), M.constI64(0)});
           Value *Src =
               B.gep(S->valueType(), S, {M.constI64(0), M.constI64(0)});

@@ -43,8 +43,8 @@ struct CompileResult {
   }
 };
 
-/// Compiles mini-C source into a fresh module. Builtins (malloc, memcpy,
-/// print_*, setjmp, …) are pre-declared. On error, M may be null or partial
+/// Compiles mini-C source into a fresh module. The builtin library
+/// (ir/Builtins.h) is pre-declared. On error, M may be null or partial
 /// and Errors is non-empty.
 CompileResult compileC(const std::string &Source);
 

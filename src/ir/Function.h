@@ -7,7 +7,7 @@
 /// \file
 /// Function: a Constant (its address is a value) owning arguments and basic
 /// blocks. Builtins are declarations whose behaviour the VM implements
-/// natively (malloc, memcpy, print, setjmp, …).
+/// natively; each carries its ir/Builtins.h id.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,7 @@
 #define SOFTBOUND_IR_FUNCTION_H
 
 #include "ir/BasicBlock.h"
+#include "ir/Builtins.h"
 
 #include <list>
 #include <memory>
@@ -29,9 +30,10 @@ public:
   using BlockList = std::list<std::unique_ptr<BasicBlock>>;
 
   Function(PointerType *AddrTy, FunctionType *FTy, std::string Name,
-           Module *Parent, bool Builtin)
+           Module *Parent, Builtin Id = Builtin::None,
+           BuiltinVariant Variant = BuiltinVariant::Plain)
       : Constant(ValueKind::Func, AddrTy, std::move(Name)), FTy(FTy),
-        Parent(Parent), Builtin(Builtin) {
+        Parent(Parent), BuiltinId(Id), Variant(Variant) {
     for (unsigned I = 0; I < FTy->numParams(); ++I)
       Args.push_back(std::make_unique<Argument>(
           FTy->param(I), "arg" + std::to_string(I), this, I));
@@ -39,7 +41,11 @@ public:
 
   FunctionType *functionType() const { return FTy; }
   Module *parent() const { return Parent; }
-  bool isBuiltin() const { return Builtin; }
+  /// The builtin this declares (Builtin::None if none), and whether it is
+  /// the C-level function or a checked `_sb_` wrapper.
+  Builtin builtin() const { return BuiltinId; }
+  BuiltinVariant builtinVariant() const { return Variant; }
+  bool isBuiltin() const { return BuiltinId != Builtin::None; }
   bool isDefinition() const { return !Blocks.empty(); }
   Type *returnType() const { return FTy->returnType(); }
 
@@ -99,7 +105,8 @@ public:
 private:
   FunctionType *FTy;
   Module *Parent;
-  bool Builtin;
+  Builtin BuiltinId;
+  BuiltinVariant Variant;
   bool Transformed = false;
   bool Uninstrumented = false;
   std::vector<std::unique_ptr<Argument>> Args;

@@ -8,15 +8,37 @@
 
 using namespace softbound;
 
-Function *Module::createFunction(const std::string &Name, FunctionType *FTy,
-                                 bool Builtin) {
+Function *Module::addFunction(const std::string &Name, FunctionType *FTy,
+                              Builtin B, BuiltinVariant Variant) {
   assert(!FuncMap.count(Name) && "duplicate function name");
-  auto F = std::make_unique<Function>(Ctx.ptrTo(FTy), FTy, Name, this,
-                                      Builtin);
+  auto F = std::make_unique<Function>(Ctx.ptrTo(FTy), FTy, Name, this, B,
+                                      Variant);
   Function *Out = F.get();
   FuncMap[Name] = Out;
   Funcs.push_back(std::move(F));
   return Out;
+}
+
+Function *Module::declareBuiltin(Builtin B, BuiltinVariant Variant) {
+  const BuiltinRow &R = builtinRow(B);
+  const char *Name = Variant == BuiltinVariant::Plain     ? R.Name
+                     : Variant == BuiltinVariant::Checked ? R.Wrapper
+                                                          : R.NoMetaWrapper;
+  assert(Name && "builtin has no such variant");
+  if (Function *F = getFunction(Name))
+    return F;
+  Type *const Types[] = {Ctx.voidTy(), Ctx.i32(), Ctx.i64(),
+                         Ctx.ptrTo(Ctx.i8()), Ctx.ptrTo(Ctx.i64())};
+  auto TypeOf = [&](BuiltinType T) { return Types[static_cast<int>(T)]; };
+  std::vector<Type *> Params;
+  for (unsigned I = 0; I < R.numParams(); ++I)
+    Params.push_back(TypeOf(R.Params[I]));
+  if (Variant != BuiltinVariant::Plain)
+    for (unsigned I = 0; I < R.numParams(); ++I)
+      if (BuiltinRow::isPointer(R.Params[I]))
+        Params.push_back(Ctx.boundsTy());
+  return addFunction(Name, Ctx.funcTy(TypeOf(R.Ret), std::move(Params)), B,
+                     Variant);
 }
 
 Function *Module::getFunction(const std::string &Name) const {

@@ -37,8 +37,14 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Creates a function with a unique name.
-  Function *createFunction(const std::string &Name, FunctionType *FTy,
-                           bool Builtin = false);
+  Function *createFunction(const std::string &Name, FunctionType *FTy) {
+    return addFunction(Name, FTy, Builtin::None, BuiltinVariant::Plain);
+  }
+
+  /// Returns the declaration of builtin \p B's \p Variant, created on
+  /// first use with its table row's name (or wrapper name) and signature.
+  Function *declareBuiltin(Builtin B,
+                           BuiltinVariant Variant = BuiltinVariant::Plain);
 
   /// Returns the named function, or null.
   Function *getFunction(const std::string &Name) const;
@@ -145,6 +151,9 @@ public:
   ConstantUndef *undef(Type *Ty);
 
 private:
+  Function *addFunction(const std::string &Name, FunctionType *FTy,
+                        Builtin B, BuiltinVariant Variant);
+
   TypeContext Ctx;
   std::vector<std::unique_ptr<Function>> Funcs;
   std::map<std::string, Function *> FuncMap;

@@ -457,8 +457,8 @@ namespace {
 /// remaining loop iteration. Traps (division, nested checks, step limits,
 /// segfaults) need no exclusion: a trapped run did not complete normally,
 /// which is all the hoisting argument relies on.
-bool isEscapingBuiltin(const std::string &Name) {
-  return Name == "exit" || Name == "setjmp" || Name == "longjmp";
+bool isEscapingBuiltin(const Function *F) {
+  return F->isBuiltin() && builtinRow(F->builtin()).Escapes;
 }
 
 /// True when \p F (a defined function) could, transitively, execute an
@@ -476,7 +476,7 @@ bool calleeMayEscape(Function *F,
       if (!CI)
         continue;
       Function *Callee = CI->calledFunction();
-      if (!Callee || isEscapingBuiltin(Callee->name()) ||
+      if (!Callee || isEscapingBuiltin(Callee) ||
           (Callee->isDefinition() && calleeMayEscape(Callee, Memo))) {
         Memo[F] = true;
         return true;
@@ -497,7 +497,7 @@ bool checkopt::loopBodyIsSafe(const NaturalLoop &L) {
       Function *Callee = CI->calledFunction();
       if (!Callee) // Indirect call: unknown callee could escape.
         return false;
-      if (isEscapingBuiltin(Callee->name()))
+      if (isEscapingBuiltin(Callee))
         return false;
       if (Callee->isDefinition() && calleeMayEscape(Callee, Memo))
         return false;

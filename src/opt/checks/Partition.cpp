@@ -140,7 +140,7 @@ const CallInst *freshMallocSlot(const Value *Addr) {
     if (!Alloc)
       return nullptr;
     const Function *Callee = Alloc->calledFunction();
-    if (!Callee || Callee->name() != "malloc")
+    if (!Callee || Callee->builtin() != Builtin::Malloc)
       return nullptr;
     const auto *Size = dyn_cast<ConstantInt>(Alloc->arg(0));
     if (!Size || Size->value() < 0 ||

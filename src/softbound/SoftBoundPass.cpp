@@ -85,9 +85,11 @@ private:
   BasicBlock::iterator handleBuiltinCall(CallInst *CI, Function *Callee,
                                          BasicBlock *BB,
                                          BasicBlock::iterator It);
-
-  Function *getWrapper(const std::string &Name, Type *Ret,
-                       std::vector<Type *> Params);
+  /// Inserts before \p It the §3.3 form of \p CI, calling \p Callee of
+  /// type \p Ty: the original arguments, then one bounds per pointer
+  /// argument, in order.
+  CallInst *insertBoundsCall(CallInst *CI, Value *Callee, FunctionType *Ty,
+                             BasicBlock *BB, BasicBlock::iterator It);
 
   Module &M;
   TypeContext &Ctx;
@@ -379,145 +381,105 @@ void SoftBoundTransform::handleRet(RetInst *RI, BasicBlock *BB,
   RI->setOp(0, Pack);
 }
 
-Function *SoftBoundTransform::getWrapper(const std::string &Name, Type *Ret,
-                                         std::vector<Type *> Params) {
-  if (Function *F = M.getFunction(Name))
-    return F;
-  return M.createFunction(Name, Ctx.funcTy(Ret, std::move(Params)),
-                          /*Builtin=*/true);
-}
-
 BasicBlock::iterator
 SoftBoundTransform::handleBuiltinCall(CallInst *CI, Function *Callee,
                                       BasicBlock *BB,
                                       BasicBlock::iterator It) {
-  const std::string &Name = Callee->name();
-  Type *I8P = Ctx.ptrTo(Ctx.i8());
-  Type *BT = Ctx.boundsTy();
+  // A declaration without a table row (an undefined prototype) takes no
+  // checked pointers; a pointer result gets null bounds.
+  static constexpr BuiltinRow NoRow;
+  const BuiltinRow &R =
+      Callee->isBuiltin() ? builtinRow(Callee->builtin()) : NoRow;
   auto Next = std::next(It);
 
-  auto ReplaceCall = [&](Function *NewCallee,
-                         std::vector<Value *> Args) -> CallInst * {
-    auto *NewCI = new CallInst(NewCallee->functionType(), NewCallee,
-                               std::move(Args),
-                               NewCallee->functionType()->returnType(),
-                               CI->name());
-    insertBefore(BB, It, NewCI);
-    CurF->replaceAllUsesWith(CI, NewCI);
-    return NewCI;
-  };
-
-  if (Name == "malloc") {
-    // §3.1 "creating pointers": bounds from the allocation size, null
-    // bounds when malloc fails.
-    Value *Size = CI->arg(0);
-    auto *End = insertBefore(BB, Next,
-                             new GEPInst(cast<PointerType>(I8P), Ctx.i8(), CI,
-                                         {Size}, "m.end"));
-    auto *MB = insertBefore(
-        BB, Next, new MakeBoundsInst(BT, CI, End, "m.bnd"));
-    auto *IsNull = insertBefore(
-        BB, Next,
-        new ICmpInst(ICmpInst::Pred::EQ, CI,
-                     M.nullPtr(cast<PointerType>(CI->type())), Ctx.i1(),
-                     "m.isnull"));
-    auto *Sel = insertBefore(
-        BB, Next,
-        new SelectInst(IsNull, makeNullBounds(), MB, "m.bsel"));
-    BoundsOf[CI] = Sel;
-    return Next;
+  // A fixed-size object (the jmp_buf) is checked inline, before the call.
+  bool IsStore = R.Checks[0] == BuiltinAccess::Store;
+  if (R.InlineCheckBytes && (Cfg.Mode == CheckMode::Full ||
+                             (IsStore && Cfg.Mode == CheckMode::StoreOnly))) {
+    insertBefore(BB, It,
+                 new SpatialCheckInst(Ctx.voidTy(), CI->arg(0),
+                                      getBounds(CI->arg(0)),
+                                      R.InlineCheckBytes, IsStore));
+    ++Stats.ChecksInserted;
   }
-  if (Name == "free")
-    return Next; // The runtime clears metadata on free (§5.2).
 
-  if (Name == "memcpy") {
-    Value *Dst = CI->arg(0), *Src = CI->arg(1), *N = CI->arg(2);
-    // §5.2 inference: look through the cast at the call site to decide
-    // whether the copied data can contain pointers.
-    bool MayHavePointers = true;
-    if (Cfg.InferMemcpyPointerFree) {
-      Value *Probe = Src;
+  // A builtin with a wrapper becomes a call to it: the original arguments,
+  // then one bounds per pointer argument (§3.3).
+  CallInst *Result = CI;
+  if (R.Wrapper) {
+    BuiltinVariant Variant = BuiltinVariant::Checked;
+    if (R.NoMetaWrapper && Cfg.InferMemcpyPointerFree) {
+      // §5.2 inference: look through the cast at the call site to decide
+      // whether the copied data (argument 1) can contain pointers.
+      Value *Probe = CI->arg(1);
       if (auto *BC = dyn_cast<CastInst>(Probe);
           BC && BC->opcode() == CastInst::Op::Bitcast)
         Probe = BC->source();
-      if (auto *PT = dyn_cast<PointerType>(Probe->type()))
-        MayHavePointers = typeContainsPointer(PT->pointee());
+      if (auto *PT = dyn_cast<PointerType>(Probe->type());
+          PT && !typeContainsPointer(PT->pointee()))
+        Variant = BuiltinVariant::CheckedNoMeta;
     }
-    Function *W = getWrapper(MayHavePointers ? "_sb_memcpy"
-                                             : "_sb_memcpy_nometa",
-                             I8P, {I8P, I8P, Ctx.i64(), BT, BT});
-    CallInst *NewCI =
-        ReplaceCall(W, {Dst, Src, N, getBounds(Dst), getBounds(Src)});
-    BoundsOf[NewCI] = getBounds(Dst);
-    ++Stats.CallsRewritten;
-    return BB->erase(It);
-  }
-  if (Name == "memset") {
-    Value *Dst = CI->arg(0);
-    Function *W =
-        getWrapper("_sb_memset", I8P, {I8P, Ctx.i32(), Ctx.i64(), BT});
-    CallInst *NewCI =
-        ReplaceCall(W, {Dst, CI->arg(1), CI->arg(2), getBounds(Dst)});
-    BoundsOf[NewCI] = getBounds(Dst);
-    ++Stats.CallsRewritten;
-    return BB->erase(It);
-  }
-  if (Name == "strcpy" || Name == "strcat") {
-    Value *Dst = CI->arg(0), *Src = CI->arg(1);
-    Function *W = getWrapper("_sb_" + Name, I8P, {I8P, I8P, BT, BT});
-    CallInst *NewCI =
-        ReplaceCall(W, {Dst, Src, getBounds(Dst), getBounds(Src)});
-    BoundsOf[NewCI] = getBounds(Dst);
-    ++Stats.CallsRewritten;
-    return BB->erase(It);
-  }
-  if (Name == "strcmp") {
-    Function *W = getWrapper("_sb_strcmp", Ctx.i32(), {I8P, I8P, BT, BT});
-    ReplaceCall(W, {CI->arg(0), CI->arg(1), getBounds(CI->arg(0)),
-                    getBounds(CI->arg(1))});
-    ++Stats.CallsRewritten;
-    return BB->erase(It);
-  }
-  if (Name == "strlen") {
-    Function *W = getWrapper("_sb_strlen", Ctx.i64(), {I8P, BT});
-    ReplaceCall(W, {CI->arg(0), getBounds(CI->arg(0))});
-    ++Stats.CallsRewritten;
-    return BB->erase(It);
-  }
-  if (Name == "setjmp" || Name == "longjmp") {
-    // jmp_buf is written (setjmp) / read (longjmp) as a 32-byte object.
-    bool IsStore = Name == "setjmp";
-    if (Cfg.Mode == CheckMode::Full ||
-        (IsStore && Cfg.Mode == CheckMode::StoreOnly)) {
-      insertBefore(BB, It,
-                   new SpatialCheckInst(Ctx.voidTy(), CI->arg(0),
-                                        getBounds(CI->arg(0)), 32, IsStore));
-      ++Stats.ChecksInserted;
-    }
-    return Next;
-  }
-  if (Name == "__setbound") {
-    // setbound(p, n): p with bounds [p, p+n) (§5.2 escape hatch).
-    Value *P = CI->arg(0);
-    auto *End = insertBefore(BB, Next,
-                             new GEPInst(cast<PointerType>(I8P), Ctx.i8(), CI,
-                                         {CI->arg(1)}, "sb.end"));
-    auto *MB = insertBefore(BB, Next,
-                            new MakeBoundsInst(BT, CI, End, "sb.bnd"));
-    (void)P;
-    BoundsOf[CI] = MB;
-    return Next;
-  }
-  if (Name == "__unbound") {
-    BoundsOf[CI] = makeUnboundedBounds();
-    return Next;
+    Function *W = M.declareBuiltin(Callee->builtin(), Variant);
+    Result = insertBoundsCall(CI, W, W->functionType(), BB, It);
+    CurF->replaceAllUsesWith(CI, Result);
   }
 
-  // Remaining builtins (print_*, exit, sb_rand, …) take no checked
-  // pointers; pointer results (none today) would get null bounds.
-  if (CI->type()->isPointer())
-    BoundsOf[CI] = makeNullBounds();
-  return Next;
+  if (Result->type()->isPointer()) {
+    switch (R.Result) {
+    case ResultBounds::None:
+      BoundsOf[Result] = makeNullBounds();
+      break;
+    case ResultBounds::Arg0:
+      BoundsOf[Result] = getBounds(Result->arg(0));
+      break;
+    case ResultBounds::Alloc:
+    case ResultBounds::SetBound: {
+      // [p, p+n): malloc's size (§3.1 "creating pointers") or __setbound's
+      // explicit extent (§5.2 escape hatch).
+      bool Alloc = R.Result == ResultBounds::Alloc;
+      std::string Pfx = Alloc ? "m." : "sb.";
+      auto *End = insertBefore(
+          BB, Next,
+          new GEPInst(Ctx.ptrTo(Ctx.i8()), Ctx.i8(), Result,
+                      {Result->arg(Alloc ? 0 : 1)}, Pfx + "end"));
+      auto *MB = insertBefore(BB, Next,
+                              new MakeBoundsInst(Ctx.boundsTy(), Result, End,
+                                                 Pfx + "bnd"));
+      BoundsOf[Result] = MB;
+      if (!Alloc)
+        break;
+      // Null bounds when the allocation fails.
+      auto *IsNull = insertBefore(
+          BB, Next,
+          new ICmpInst(ICmpInst::Pred::EQ, Result,
+                       M.nullPtr(cast<PointerType>(Result->type())),
+                       Ctx.i1(), "m.isnull"));
+      BoundsOf[Result] = insertBefore(
+          BB, Next, new SelectInst(IsNull, makeNullBounds(), MB, "m.bsel"));
+      break;
+    }
+    case ResultBounds::Unbounded:
+      BoundsOf[Result] = makeUnboundedBounds();
+      break;
+    }
+  }
+  return Result == CI ? Next : BB->erase(It);
+}
+
+CallInst *SoftBoundTransform::insertBoundsCall(CallInst *CI, Value *Callee,
+                                               FunctionType *Ty,
+                                               BasicBlock *BB,
+                                               BasicBlock::iterator It) {
+  std::vector<Value *> Args;
+  for (unsigned I = 0; I < CI->numArgs(); ++I)
+    Args.push_back(CI->arg(I));
+  for (unsigned I = 0; I < CI->numArgs(); ++I)
+    if (CI->arg(I)->type()->isPointer())
+      Args.push_back(getBounds(CI->arg(I)));
+  ++Stats.CallsRewritten;
+  return insertBefore(BB, It,
+                      new CallInst(Ty, Callee, std::move(Args),
+                                   Ty->returnType(), CI->name()));
 }
 
 BasicBlock::iterator SoftBoundTransform::handleCall(CallInst *CI,
@@ -536,24 +498,10 @@ BasicBlock::iterator SoftBoundTransform::handleCall(CallInst *CI,
     ++Stats.FuncPtrChecksInserted;
   }
 
-  // Build the transformed argument list: originals, then bounds for each
-  // pointer argument in order (§3.3).
   FunctionType *OldTy = CI->calleeType();
-  FunctionType *NewTy =
-      Callee ? Callee->functionType() : transformedType(OldTy);
-
-  std::vector<Value *> Args;
-  for (unsigned I = 0; I < CI->numArgs(); ++I)
-    Args.push_back(CI->arg(I));
-  for (unsigned I = 0; I < CI->numArgs(); ++I)
-    if (CI->arg(I)->type()->isPointer())
-      Args.push_back(getBounds(CI->arg(I)));
-
-  Type *NewRetTy = NewTy->returnType();
-  auto *NewCI = new CallInst(NewTy, CI->callee(), std::move(Args), NewRetTy,
-                             CI->name());
-  insertBefore(BB, It, NewCI);
-  ++Stats.CallsRewritten;
+  CallInst *NewCI = insertBoundsCall(
+      CI, CI->callee(),
+      Callee ? Callee->functionType() : transformedType(OldTy), BB, It);
 
   if (OldTy->returnType()->isPointer()) {
     auto *EP = insertBefore(

@@ -56,73 +56,6 @@ const char *softbound::trapName(TrapKind K) {
 
 namespace {
 
-/// Builtin functions the VM implements natively. The `SB` variants are the
-/// instrumented library wrappers of §5.2 carrying bounds arguments.
-enum class Builtin {
-  NotABuiltin,
-  Malloc,
-  Free,
-  Memcpy,
-  Memset,
-  Strlen,
-  Strcpy,
-  Strcat,
-  Strcmp,
-  PrintInt,
-  PrintChar,
-  PrintStr,
-  Exit,
-  Rand,
-  Srand,
-  Setjmp,
-  Longjmp,
-  RequestGuard,
-  RequestEnd,
-  SetBound,
-  Unbound,
-  SBMemcpy,
-  SBMemcpyNoMeta,
-  SBMemset,
-  SBStrlen,
-  SBStrcpy,
-  SBStrcat,
-  SBStrcmp,
-};
-
-Builtin builtinByName(const std::string &N) {
-  static const std::unordered_map<std::string, Builtin> Map = {
-      {"malloc", Builtin::Malloc},
-      {"free", Builtin::Free},
-      {"memcpy", Builtin::Memcpy},
-      {"memset", Builtin::Memset},
-      {"strlen", Builtin::Strlen},
-      {"strcpy", Builtin::Strcpy},
-      {"strcat", Builtin::Strcat},
-      {"strcmp", Builtin::Strcmp},
-      {"print_int", Builtin::PrintInt},
-      {"print_char", Builtin::PrintChar},
-      {"print_str", Builtin::PrintStr},
-      {"exit", Builtin::Exit},
-      {"sb_rand", Builtin::Rand},
-      {"sb_srand", Builtin::Srand},
-      {"setjmp", Builtin::Setjmp},
-      {"longjmp", Builtin::Longjmp},
-      {"sb_guard", Builtin::RequestGuard},
-      {"sb_request_end", Builtin::RequestEnd},
-      {"__setbound", Builtin::SetBound},
-      {"__unbound", Builtin::Unbound},
-      {"_sb_memcpy", Builtin::SBMemcpy},
-      {"_sb_memcpy_nometa", Builtin::SBMemcpyNoMeta},
-      {"_sb_memset", Builtin::SBMemset},
-      {"_sb_strlen", Builtin::SBStrlen},
-      {"_sb_strcpy", Builtin::SBStrcpy},
-      {"_sb_strcat", Builtin::SBStrcat},
-      {"_sb_strcmp", Builtin::SBStrcmp},
-  };
-  auto It = Map.find(N);
-  return It == Map.end() ? Builtin::NotABuiltin : It->second;
-}
-
 /// Sign-extends the low \p Bits of \p V.
 uint64_t canon(uint64_t V, unsigned Bits) {
   if (Bits >= 64)
@@ -298,7 +231,8 @@ private:
   void step();
   void execute(Instruction &I, Frame &Fr);
   void enterBlock(Frame &Fr, BasicBlock *To);
-  void execBuiltin(Frame &Fr, const CallInst &CI, Builtin B);
+  void execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
+                   BuiltinVariant Variant);
 
   // Builtin helpers.
   /// Baseline-checker validation of a native (builtin) memory access —
@@ -316,10 +250,8 @@ private:
     return false;
   }
   uint64_t simStrlenAt(uint64_t Addr, bool &Ok);
-  bool wrapperCheckStore(uint64_t Ptr, uint64_t N, const VMVal &Bounds,
-                         const std::string &What);
-  bool wrapperCheckLoad(uint64_t Ptr, uint64_t N, const VMVal &Bounds,
-                        const std::string &What);
+  bool wrapperCheck(const BuiltinRow &R, unsigned Param, uint64_t N,
+                    const std::vector<VMVal> &A);
 
   VM &Owner;
   Module &M;
@@ -378,7 +310,6 @@ void VM::loadImage() {
     uint64_t Addr = FuncBase + FuncStride * FuncByIndex.size();
     FuncByIndex.push_back(F.get());
     FuncAddr[F.get()] = Addr;
-    BuiltinOf[F.get()] = static_cast<int>(builtinByName(F->name()));
     if (F->isDefinition())
       F->renumber();
   }
@@ -894,14 +825,13 @@ void VMExec::execute(Instruction &I, Frame &Fr) {
         return;
       }
     }
-    Builtin B = static_cast<Builtin>(Owner.BuiltinOf.at(Callee));
-    if (Callee->isBuiltin() || !Callee->isDefinition()) {
-      if (B == Builtin::NotABuiltin) {
-        trap(TrapKind::BadIndirectCall,
-             "call to undefined function @" + Callee->name());
-        return;
-      }
-      execBuiltin(Fr, Call, B);
+    if (Callee->isBuiltin()) {
+      execBuiltin(Fr, Call, Callee->builtin(), Callee->builtinVariant());
+      return;
+    }
+    if (!Callee->isDefinition()) {
+      trap(TrapKind::BadIndirectCall,
+           "call to undefined function @" + Callee->name());
       return;
     }
     std::vector<VMVal> Args;
@@ -1074,29 +1004,23 @@ uint64_t VMExec::simStrlenAt(uint64_t Addr, bool &Ok) {
   return 0;
 }
 
-bool VMExec::wrapperCheckStore(uint64_t Ptr, uint64_t N, const VMVal &Bounds,
-                               const std::string &What) {
-  if (Cfg.Wrappers == WrapperMode::None)
+/// The checked variant's check of \p N bytes through parameter \p Param
+/// against the bounds the caller appended for it (§3.3): a load or a
+/// store check, as the builtin's row declares.
+bool VMExec::wrapperCheck(const BuiltinRow &R, unsigned Param, uint64_t N,
+                          const std::vector<VMVal> &A) {
+  bool IsStore = R.Checks[Param] == BuiltinAccess::Store;
+  if (Cfg.Wrappers == WrapperMode::None ||
+      (!IsStore && Cfg.Wrappers != WrapperMode::Full))
     return true;
   ++C.Checks;
   C.Cycles += Cfg.CheckCost;
-  if (Ptr >= Bounds.A && Ptr + N <= Bounds.B)
+  uint64_t Ptr = A[Param].A;
+  if (Ptr >= A[R.boundsArg(Param)].A && Ptr + N <= A[R.boundsArg(Param)].B)
     return true;
-  trap(TrapKind::SpatialViolation,
-       "softbound: out-of-bounds store in " + What + " wrapper");
-  return false;
-}
-
-bool VMExec::wrapperCheckLoad(uint64_t Ptr, uint64_t N, const VMVal &Bounds,
-                              const std::string &What) {
-  if (Cfg.Wrappers != WrapperMode::Full)
-    return true;
-  ++C.Checks;
-  C.Cycles += Cfg.CheckCost;
-  if (Ptr >= Bounds.A && Ptr + N <= Bounds.B)
-    return true;
-  trap(TrapKind::SpatialViolation,
-       "softbound: out-of-bounds load in " + What + " wrapper");
+  trap(TrapKind::SpatialViolation, std::string("softbound: out-of-bounds ") +
+                                       (IsStore ? "store" : "load") + " in " +
+                                       R.Name + " wrapper");
   return false;
 }
 
@@ -1129,7 +1053,10 @@ bool VMExec::recoverToGuard(TrapKind K) {
   return true;
 }
 
-void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
+void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
+                         BuiltinVariant Variant) {
+  const BuiltinRow &R = builtinRow(B);
+  bool Checked = Variant != BuiltinVariant::Plain;
   ++C.Calls;
   std::vector<VMVal> A;
   A.reserve(CI.numArgs());
@@ -1141,7 +1068,7 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
   };
 
   switch (B) {
-  case Builtin::NotABuiltin:
+  case Builtin::None:
     sb_unreachable("dispatched a non-builtin");
   case Builtin::Malloc: {
     uint64_t Size = A[0].A;
@@ -1170,18 +1097,13 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
       C.Cycles += Cfg.Meta->clearRange(Addr, Size);
     return;
   }
-  case Builtin::Memcpy:
-  case Builtin::SBMemcpy:
-  case Builtin::SBMemcpyNoMeta: {
+  case Builtin::Memcpy: {
     uint64_t Dst = A[0].A, Src = A[1].A, N = A[2].A;
-    if (B != Builtin::Memcpy) {
-      // §5.2: bounds of source and target checked once, before the copy.
-      if (!wrapperCheckStore(Dst, N, A[3], "memcpy") ||
-          !wrapperCheckLoad(Src, N, A[4], "memcpy"))
-        return;
-    }
-    if (!checkNative(Src, N, /*IsStore=*/false, "memcpy") ||
-        !checkNative(Dst, N, /*IsStore=*/true, "memcpy"))
+    // §5.2: bounds of source and target checked once, before the copy.
+    if (Checked && (!wrapperCheck(R, 0, N, A) || !wrapperCheck(R, 1, N, A)))
+      return;
+    if (!checkNative(Src, N, /*IsStore=*/false, R.Name) ||
+        !checkNative(Dst, N, /*IsStore=*/true, R.Name))
       return;
     std::vector<uint8_t> Buf(N);
     if (!Mem.readBytes(Src, N, Buf.data()) ||
@@ -1190,12 +1112,12 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
       return;
     }
     C.Cycles += 10 + N / 8;
-    if (B == Builtin::SBMemcpy && Cfg.Meta) {
+    if (Variant == BuiltinVariant::Checked && Cfg.Meta) {
       // Scan every source slot for metadata and mirror it (§5.2).
       uint64_t Moved = Cfg.Meta->copyRange(Dst, Src, N);
       C.Cycles += (N / 8) * Cfg.Meta->lookupCost() +
                   Moved * Cfg.Meta->updateCost();
-    } else if (B == Builtin::SBMemcpyNoMeta && Cfg.Meta) {
+    } else if (Variant == BuiltinVariant::CheckedNoMeta && Cfg.Meta) {
       // §5.2 pointer-free inference: no per-slot scan; the destination
       // shadow region is bulk-cleared (memset-like, ~1 insn per slot).
       Cfg.Meta->clearRange(Dst, N);
@@ -1204,12 +1126,11 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
     Ret(VMVal{Dst, 0, 0});
     return;
   }
-  case Builtin::Memset:
-  case Builtin::SBMemset: {
+  case Builtin::Memset: {
     uint64_t Dst = A[0].A, Fill = A[1].A & 0xff, N = A[2].A;
-    if (B == Builtin::SBMemset && !wrapperCheckStore(Dst, N, A[3], "memset"))
+    if (Checked && !wrapperCheck(R, 0, N, A))
       return;
-    if (!checkNative(Dst, N, /*IsStore=*/true, "memset"))
+    if (!checkNative(Dst, N, /*IsStore=*/true, R.Name))
       return;
     std::vector<uint8_t> Buf(N, static_cast<uint8_t>(Fill));
     if (!Mem.writeBytes(Dst, N, Buf.data())) {
@@ -1222,80 +1143,52 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
     Ret(VMVal{Dst, 0, 0});
     return;
   }
-  case Builtin::Strlen:
-  case Builtin::SBStrlen: {
+  case Builtin::Strlen: {
     bool Ok;
     uint64_t N = simStrlenAt(A[0].A, Ok);
     if (!Ok) {
       trap(TrapKind::Segfault, "strlen ran off mapped memory");
       return;
     }
-    if (B == Builtin::SBStrlen &&
-        !wrapperCheckLoad(A[0].A, N + 1, A[1], "strlen"))
+    if (Checked && !wrapperCheck(R, 0, N + 1, A))
       return;
     C.Cycles += 2 + N;
     Ret(VMVal{N, 0, 0});
     return;
   }
   case Builtin::Strcpy:
-  case Builtin::SBStrcpy: {
+  case Builtin::Strcat: {
+    // strcat writes at the destination's terminator, strcpy at offset 0.
+    bool Cat = B == Builtin::Strcat;
     uint64_t Dst = A[0].A, Src = A[1].A;
-    bool Ok;
-    uint64_t N = simStrlenAt(Src, Ok);
-    if (!Ok) {
-      trap(TrapKind::Segfault, "strcpy source not NUL-terminated in memory");
+    bool DOk = true, Ok;
+    uint64_t DN = Cat ? simStrlenAt(Dst, DOk) : 0;
+    uint64_t SN = simStrlenAt(Src, Ok);
+    if (!Ok || !DOk) {
+      trap(TrapKind::Segfault,
+           Cat ? "strcat operand not NUL-terminated"
+               : "strcpy source not NUL-terminated in memory");
       return;
     }
-    if (B == Builtin::SBStrcpy) {
-      if (!wrapperCheckLoad(Src, N + 1, A[3], "strcpy") ||
-          !wrapperCheckStore(Dst, N + 1, A[2], "strcpy"))
-        return;
-    }
-    if (!checkNative(Src, N + 1, /*IsStore=*/false, "strcpy") ||
-        !checkNative(Dst, N + 1, /*IsStore=*/true, "strcpy"))
+    if (Checked && (!wrapperCheck(R, 1, SN + 1, A) ||
+                    !wrapperCheck(R, 0, DN + SN + 1, A)))
       return;
-    std::vector<uint8_t> Buf(N + 1);
-    Mem.readBytes(Src, N + 1, Buf.data());
-    if (!Mem.writeBytes(Dst, N + 1, Buf.data())) {
-      trap(TrapKind::Segfault, "strcpy writes unmapped memory");
-      return;
-    }
-    C.Cycles += 10 + N;
-    if (Cfg.Instrumented && Cfg.Meta)
-      C.Cycles += Cfg.Meta->clearRange(Dst, N + 1);
-    Ret(VMVal{Dst, 0, 0});
-    return;
-  }
-  case Builtin::Strcat:
-  case Builtin::SBStrcat: {
-    uint64_t Dst = A[0].A, Src = A[1].A;
-    bool Ok1, Ok2;
-    uint64_t DN = simStrlenAt(Dst, Ok1);
-    uint64_t SN = simStrlenAt(Src, Ok2);
-    if (!Ok1 || !Ok2) {
-      trap(TrapKind::Segfault, "strcat operand not NUL-terminated");
-      return;
-    }
-    if (B == Builtin::SBStrcat) {
-      if (!wrapperCheckLoad(Src, SN + 1, A[3], "strcat") ||
-          !wrapperCheckStore(Dst, DN + SN + 1, A[2], "strcat"))
-        return;
-    }
-    if (!checkNative(Src, SN + 1, /*IsStore=*/false, "strcat") ||
-        !checkNative(Dst, DN + SN + 1, /*IsStore=*/true, "strcat"))
+    if (!checkNative(Src, SN + 1, /*IsStore=*/false, R.Name) ||
+        !checkNative(Dst, DN + SN + 1, /*IsStore=*/true, R.Name))
       return;
     std::vector<uint8_t> Buf(SN + 1);
     Mem.readBytes(Src, SN + 1, Buf.data());
     if (!Mem.writeBytes(Dst + DN, SN + 1, Buf.data())) {
-      trap(TrapKind::Segfault, "strcat writes unmapped memory");
+      trap(TrapKind::Segfault, std::string(R.Name) + " writes unmapped memory");
       return;
     }
     C.Cycles += 10 + DN + SN;
+    if (!Cat && Cfg.Instrumented && Cfg.Meta)
+      C.Cycles += Cfg.Meta->clearRange(Dst, SN + 1);
     Ret(VMVal{Dst, 0, 0});
     return;
   }
-  case Builtin::Strcmp:
-  case Builtin::SBStrcmp: {
+  case Builtin::Strcmp: {
     uint64_t P = A[0].A, Q = A[1].A;
     int64_t Out = 0;
     uint64_t N = 0;
@@ -1314,9 +1207,8 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B) {
     }
     // Each operand had N + 1 bytes read: the equal prefix plus the byte
     // that differed or ended both strings.
-    if (B == Builtin::SBStrcmp &&
-        (!wrapperCheckLoad(P, N + 1, A[2], "strcmp") ||
-         !wrapperCheckLoad(Q, N + 1, A[3], "strcmp")))
+    if (Checked &&
+        (!wrapperCheck(R, 0, N + 1, A) || !wrapperCheck(R, 1, N + 1, A)))
       return;
     C.Cycles += 2 + N;
     Ret(VMVal{static_cast<uint64_t>(Out), 0, 0});

@@ -246,7 +246,6 @@ private:
   std::vector<Function *> FuncByIndex;
   std::unordered_map<const Function *, uint64_t> FuncAddr;
   std::unordered_map<const GlobalVariable *, uint64_t> GlobalAddr;
-  std::unordered_map<const Function *, int> BuiltinOf;
 
   /// Why the image could not be loaded (a global that does not fit its
   /// segment); empty when loading succeeded. Every lane of a refused
