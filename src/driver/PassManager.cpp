@@ -12,6 +12,7 @@
 #include "support/Compiler.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 
@@ -181,6 +182,7 @@ std::optional<PipelineStep> makeStep(const std::string &Name,
   PipelineStep S(P->Kind);
   if (!Knobs.empty() && P->Reset)
     P->Reset(S);
+  std::vector<const KnobRow *> Applied;
   for (const auto &K : Knobs) {
     const KnobRow *Row = nullptr;
     std::vector<std::string> KnobNames;
@@ -198,7 +200,19 @@ std::optional<PipelineStep> makeStep(const std::string &Name,
       Err = Name + ": knob '" + K + "' cannot be combined with others";
       return std::nullopt;
     }
+    if (std::find(Applied.begin(), Applied.end(), Row) != Applied.end()) {
+      Err = Name + ": knob '" + K + "' named twice";
+      return std::nullopt;
+    }
     Row->Set(S);
+    // Every knob named so far must still read as set: a later knob may
+    // not silently undo an earlier one.
+    for (const KnobRow *Earlier : Applied)
+      if (!Earlier->IsSet(S)) {
+        Err = Name + ": knob '" + K + "' contradicts '" + Earlier->Name + "'";
+        return std::nullopt;
+      }
+    Applied.push_back(Row);
   }
   return S;
 }

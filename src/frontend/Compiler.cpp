@@ -470,6 +470,8 @@ void Parser::parseFunctionRest(Type *RetTy, const std::string &Name,
   }
   if (accept(Tok::Semi))
     return; // Prototype only.
+  if (F->isBuiltin())
+    error("redefinition of builtin function '" + Name + "'");
   if (F->isDefinition())
     error("redefinition of function " + Name);
 

@@ -826,7 +826,15 @@ void VMExec::execute(Instruction &I, Frame &Fr) {
       }
     }
     if (Callee->isBuiltin()) {
-      execBuiltin(Fr, Call, Callee->builtin(), Callee->builtinVariant());
+      // Reached through a pointer from instrumented code, a builtin runs
+      // its checked variant: the caller appended bounds in §3.3 order and
+      // expects a ptrpair (memcpy copies metadata, as a pointer-free
+      // source cannot be proven here).
+      BuiltinVariant V = Callee->builtinVariant();
+      if (V == BuiltinVariant::Plain && Cfg.Instrumented &&
+          !Call.calledFunction())
+        V = BuiltinVariant::Checked;
+      execBuiltin(Fr, Call, Callee->builtin(), V);
       return;
     }
     if (!Callee->isDefinition()) {
@@ -1066,6 +1074,28 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
     if (CI.slot() >= 0)
       Fr.Regs[CI.slot()] = V;
   };
+  // A caller expecting a ptrpair gets the bounds the row's rule gives.
+  auto RetPtr = [&](uint64_t P) {
+    if (!CI.type()->isPtrPair())
+      return Ret(VMVal{P, 0, 0});
+    switch (R.Result) {
+    case ResultBounds::None:
+      return Ret(VMVal{P, 0, 0});
+    case ResultBounds::Arg0:
+      return Ret(VMVal{P, A[R.boundsArg(0)].A, A[R.boundsArg(0)].B});
+    case ResultBounds::Alloc:
+      return Ret(VMVal{P, P, P ? P + A[0].A : 0});
+    case ResultBounds::SetBound:
+      return Ret(VMVal{P, P, P + A[1].A});
+    case ResultBounds::Unbounded:
+      return Ret(VMVal{P, 0, INT64_MAX});
+    }
+  };
+  // The fixed-size object (jmp_buf) the SoftBound pass checks inline at a
+  // direct call.
+  if (Checked && R.InlineCheckBytes &&
+      !wrapperCheck(R, 0, R.InlineCheckBytes, A))
+    return;
 
   switch (B) {
   case Builtin::None:
@@ -1077,7 +1107,7 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
     C.Cycles += 30;
     if (Addr && Cfg.Checker)
       Cfg.Checker->onAlloc(ObjectRegion::Heap, Addr, Size);
-    Ret(VMVal{Addr, 0, 0});
+    RetPtr(Addr);
     return;
   }
   case Builtin::Free: {
@@ -1123,7 +1153,7 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
       Cfg.Meta->clearRange(Dst, N);
       C.Cycles += N / 8;
     }
-    Ret(VMVal{Dst, 0, 0});
+    RetPtr(Dst);
     return;
   }
   case Builtin::Memset: {
@@ -1140,7 +1170,7 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
     C.Cycles += 10 + N / 8;
     if (Cfg.Instrumented && Cfg.Meta)
       C.Cycles += Cfg.Meta->clearRange(Dst, N);
-    Ret(VMVal{Dst, 0, 0});
+    RetPtr(Dst);
     return;
   }
   case Builtin::Strlen: {
@@ -1150,7 +1180,8 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
       trap(TrapKind::Segfault, "strlen ran off mapped memory");
       return;
     }
-    if (Checked && !wrapperCheck(R, 0, N + 1, A))
+    if ((Checked && !wrapperCheck(R, 0, N + 1, A)) ||
+        !checkNative(A[0].A, N + 1, /*IsStore=*/false, R.Name))
       return;
     C.Cycles += 2 + N;
     Ret(VMVal{N, 0, 0});
@@ -1185,7 +1216,7 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
     C.Cycles += 10 + DN + SN;
     if (!Cat && Cfg.Instrumented && Cfg.Meta)
       C.Cycles += Cfg.Meta->clearRange(Dst, SN + 1);
-    Ret(VMVal{Dst, 0, 0});
+    RetPtr(Dst);
     return;
   }
   case Builtin::Strcmp: {
@@ -1210,6 +1241,9 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
     if (Checked &&
         (!wrapperCheck(R, 0, N + 1, A) || !wrapperCheck(R, 1, N + 1, A)))
       return;
+    if (!checkNative(P, N + 1, /*IsStore=*/false, R.Name) ||
+        !checkNative(Q, N + 1, /*IsStore=*/false, R.Name))
+      return;
     C.Cycles += 2 + N;
     Ret(VMVal{static_cast<uint64_t>(Out), 0, 0});
     return;
@@ -1229,6 +1263,8 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
       trap(TrapKind::Segfault, "print_str of non-terminated string");
       return;
     }
+    if (!checkNative(A[0].A, N + 1, /*IsStore=*/false, R.Name))
+      return;
     std::vector<uint8_t> Buf(N);
     Mem.readBytes(A[0].A, N, Buf.data());
     C.Cycles += 5 + N;
@@ -1326,9 +1362,8 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
   }
   case Builtin::SetBound:
   case Builtin::Unbound:
-    // Uninstrumented semantics: identity. The SoftBound pass intercepts
-    // these calls and rewrites the bounds (§5.2).
-    Ret(VMVal{A[0].A, 0, 0});
+    // Identity; the bounds come from the row's rule (§5.2).
+    RetPtr(A[0].A);
     return;
   }
   sb_unreachable("covered switch");

@@ -94,6 +94,37 @@ INSTANTIATE_TEST_SUITE_P(AllBugs, BugBenchMatrix, ::testing::Range(0, 4),
                            return bugbenchSuite()[Info.param].Name;
                          });
 
+TEST(Baselines, SeeTheStringBytesBuiltinsRead) {
+  // strlen, strcmp and print_str read their operands natively, so an
+  // interposing checker must see those reads, as it sees memcpy's. Here
+  // a holds "abcd" in a 4-byte block: each use reads its NUL at a[4].
+  auto Run = [](const std::string &Use) {
+    MemcheckLite Checker;
+    RunRequest R;
+    R.Checker = &Checker;
+    std::string Src = "int main() {\n"
+                      "  char *a = malloc(4); char *b = malloc(8);\n"
+                      "  a[0] = 'a'; a[1] = 'b'; a[2] = 'c'; a[3] = 'd';\n"
+                      "  strcpy(b, \"abcd\");\n  " +
+                      Use + "\n  return 0;\n}";
+    return runSession(PipelinePlan().frontend(Src).optimize(), R).Combined;
+  };
+  const std::pair<const char *, const char *> Cases[] = {
+      {"strlen(a);", "memcheck: violation in strlen"},
+      {"strcmp(a, b);", "memcheck: violation in strcmp"},
+      {"strcmp(b, a);", "memcheck: violation in strcmp"},
+      {"print_str(a);", "memcheck: violation in print_str"},
+  };
+  for (const auto &[Use, Message] : Cases) {
+    RunResult R = Run(Use);
+    EXPECT_EQ(R.Trap, TrapKind::BaselineViolation) << Use;
+    EXPECT_EQ(R.Message, Message) << Use;
+  }
+  RunResult Clean = Run("return (int)strlen(b) + strcmp(b, b);");
+  EXPECT_TRUE(Clean.ok()) << Clean.Message;
+  EXPECT_EQ(Clean.ExitCode, 4);
+}
+
 //===----------------------------------------------------------------------===//
 // §6.4 server case studies
 //===----------------------------------------------------------------------===//

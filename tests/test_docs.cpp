@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/PassManager.h"
+#include "ir/Builtins.h"
 #include "runtime/MetadataFacility.h"
 #include "runtime/ShadowSpaceMetadata.h"
 #include "support/Telemetry.h"
@@ -120,6 +121,90 @@ TEST(DocsDrift, KnobTablesMatchDoc) {
         << "' knob table != passTable()\n  documented: " << joined(Documented)
         << "\n  in the table: " << joined(Tabled);
   }
+}
+
+/// The cells of a markdown table row, trimmed.
+std::vector<std::string> cells(const std::string &Line) {
+  std::vector<std::string> Out;
+  std::istringstream SS(Line);
+  std::string Cell;
+  std::getline(SS, Cell, '|'); // Text before the first bar.
+  while (std::getline(SS, Cell, '|')) {
+    size_t B = Cell.find_first_not_of(' ');
+    size_t E = Cell.find_last_not_of(' ');
+    Out.push_back(B == std::string::npos ? "" : Cell.substr(B, E - B + 1));
+  }
+  if (!Out.empty() && Out.back().empty())
+    Out.pop_back(); // Text after the last bar.
+  return Out;
+}
+
+/// One builtin's row of the docs/runtime.md table, rendered from the
+/// builtin table.
+std::vector<std::string> builtinDocRow(const BuiltinRow &R) {
+  const std::string None = "—";
+  std::string Wrapper = None;
+  if (R.Wrapper)
+    Wrapper = std::string("`") + R.Wrapper + "`";
+  if (R.NoMetaWrapper)
+    Wrapper += std::string(", `") + R.NoMetaWrapper + "`";
+  std::string Checks;
+  for (unsigned I = 0; I < R.numParams(); ++I)
+    if (R.Checks[I] != BuiltinAccess::None)
+      Checks += std::string(Checks.empty() ? "" : ", ") +
+                (R.Checks[I] == BuiltinAccess::Store ? "store" : "load") +
+                " arg" + std::to_string(I);
+  if (R.InlineCheckBytes)
+    Checks += ", " + std::to_string(R.InlineCheckBytes) + " bytes inline";
+  std::string Result;
+  switch (R.Result) {
+  case ResultBounds::None:
+    Result = None;
+    break;
+  case ResultBounds::Arg0:
+    Result = "arg0's";
+    break;
+  case ResultBounds::Alloc:
+    Result = "`[p, p+arg0)`, null if `p` is null";
+    break;
+  case ResultBounds::SetBound:
+    Result = "`[p, p+arg1)`";
+    break;
+  case ResultBounds::Unbounded:
+    Result = "unbounded";
+    break;
+  }
+  return {std::string("`") + R.Name + "`", Wrapper,
+          Checks.empty() ? None : Checks, Result, R.Escapes ? "yes" : None};
+}
+
+TEST(DocsDrift, BuiltinTableMatchesDoc) {
+  // Every builtin has exactly one row whose wrapper, checks, result
+  // bounds and escape flag match builtinTable(), and every row names a
+  // builtin.
+  std::vector<std::string> Region =
+      driftRegion(readFile("docs/runtime.md"), "builtins");
+  std::map<std::string, std::vector<std::string>> Documented;
+  for (const auto &Line : Region)
+    if (std::string Name = firstCell(Line); !Name.empty())
+      Documented[Name] = cells(Line);
+  ASSERT_FALSE(Documented.empty())
+      << "docs/runtime.md lost its drift:builtins table";
+  std::set<std::string> Tabled;
+  for (const BuiltinRow &R : builtinTable()) {
+    Tabled.insert(R.Name);
+    auto It = Documented.find(R.Name);
+    if (It == Documented.end())
+      continue;
+    EXPECT_EQ(It->second, builtinDocRow(R))
+        << "docs/runtime.md row for '" << R.Name << "' != builtinTable()";
+  }
+  std::set<std::string> Names;
+  for (const auto &[Name, Row] : Documented)
+    Names.insert(Name);
+  EXPECT_EQ(Names, Tabled)
+      << "docs/runtime.md builtin table != builtinTable()\n  documented: "
+      << joined(Names) << "\n  in the table: " << joined(Tabled);
 }
 
 TEST(DocsDrift, ReadmeDefersToDocs) {

@@ -261,6 +261,30 @@ TEST(FrontendVM, ExitBuiltin) {
   EXPECT_EQ(R.ExitCode, 3);
 }
 
+TEST(FrontendVM, DefiningABuiltinIsAnError) {
+  // The VM runs the builtin, never a body given for its name, so a
+  // definition is refused instead of being silently dropped.
+  CompileResult CR = compileC(
+      "long strlen(char *s) { print_str(\"mine\"); return 99; }\n"
+      "int main() { return strlen(\"a\"); }");
+  ASSERT_FALSE(CR.ok());
+  EXPECT_NE(CR.errorText().find("redefinition of builtin function 'strlen'"),
+            std::string::npos)
+      << CR.errorText();
+  // A mismatched signature gets the same diagnostic, not a misleading
+  // one about its extra parameter.
+  CR = compileC("long malloc(long a, long b) { return a + b; }\n"
+                "int main() { return 0; }");
+  ASSERT_FALSE(CR.ok());
+  EXPECT_NE(CR.errorText().find("redefinition of builtin function 'malloc'"),
+            std::string::npos)
+      << CR.errorText();
+  // A bare prototype of a builtin stays accepted.
+  RunResult R = execSource("long strlen(char *s);\n"
+                           "int main() { return strlen(\"abc\"); }");
+  EXPECT_EQ(R.ExitCode, 3);
+}
+
 TEST(FrontendVM, SizeofSemantics) {
   RunResult R = execSource(
       "struct s { char c; long l; int i; };\n"

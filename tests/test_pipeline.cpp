@@ -78,6 +78,35 @@ TEST(PassTable, EveryKnobParsesAndCanonicalizes) {
   }
 }
 
+TEST(PassTable, RefusesContradictoryKnobs) {
+  // A knob list is a set of facts about the configuration: a later knob
+  // that undoes an earlier one is an error, whichever comes first.
+  PipelinePlan Plan;
+  std::string Err;
+  EXPECT_FALSE(Plan.appendSpec("softbound(store-only,metadata-only)", &Err));
+  EXPECT_EQ(Err, "pipeline spec: softbound: knob 'metadata-only' "
+                 "contradicts 'store-only'");
+  EXPECT_FALSE(Plan.appendSpec("softbound(metadata-only,store-only)", &Err));
+  EXPECT_EQ(Err, "pipeline spec: softbound: knob 'store-only' "
+                 "contradicts 'metadata-only'");
+  // A knob implying another is no contradiction.
+  EXPECT_TRUE(Plan.appendSpec("checkopt(hoist,runtime-limit)", &Err)) << Err;
+  EXPECT_TRUE(Plan.appendSpec("checkopt(runtime-limit,hoist)", &Err)) << Err;
+  EXPECT_EQ(Plan.spec(),
+            "checkopt(hoist,runtime-limit),checkopt(hoist,runtime-limit)");
+}
+
+TEST(PassTable, RefusesRepeatedKnobs) {
+  PipelinePlan Plan;
+  std::string Err;
+  EXPECT_FALSE(Plan.appendSpec("checkopt(hoist,hoist)", &Err));
+  EXPECT_EQ(Err, "pipeline spec: checkopt: knob 'hoist' named twice");
+  EXPECT_FALSE(Plan.appendSpec("softbound(no-shrink,store-only,no-shrink)",
+                               &Err));
+  EXPECT_EQ(Err, "pipeline spec: softbound: knob 'no-shrink' named twice");
+  EXPECT_EQ(Plan.size(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Spec parser: round-trip and canonicalization
 //===----------------------------------------------------------------------===//

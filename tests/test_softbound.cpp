@@ -350,6 +350,53 @@ TEST(SoftBoundDetect, StringWrappersCheckTheBytesTheyRead) {
   EXPECT_EQ(In.ExitCode, 4);
 }
 
+TEST(SoftBoundDetect, BuiltinsThroughPointersKeepTheirContract) {
+  // A builtin called through a function pointer gets the checks and the
+  // result bounds a direct call gets (§5.2), with and without checkopt.
+  auto StrSrc = [](const std::string &Size, const std::string &Text) {
+    return "int main() {\n"
+           "  char *(*ops[2])(char *, char *);\n"
+           "  ops[0] = strcpy; ops[1] = strcat;\n"
+           "  char *r = ops[sb_rand() % 1](malloc(" +
+           Size + "), \"" + Text +
+           "\");\n"
+           "  return r[1];\n"
+           "}";
+  };
+  auto AllocSrc = [](int Index) {
+    return "int main() {\n"
+           "  char *(*alloc[1])(long);\n"
+           "  alloc[0] = malloc;\n"
+           "  char *p = alloc[sb_rand() % 1](8);\n"
+           "  p[" + std::to_string(Index) + "] = 7;\n"
+           "  return p[" + std::to_string(Index) + "];\n"
+           "}";
+  };
+  for (const char *Spec : {"softbound", "optimize,softbound,checkopt"}) {
+    auto Run = [&](const std::string &Src) {
+      PipelinePlan Plan;
+      Plan.frontend(Src);
+      EXPECT_TRUE(Plan.appendSpec(Spec));
+      return runSession(Plan).Combined;
+    };
+    RunResult Overflow = Run(StrSrc("4", "abcdefghijklmnopqrstuvwxyz"));
+    EXPECT_EQ(Overflow.Trap, TrapKind::SpatialViolation) << Spec;
+    EXPECT_EQ(Overflow.Message,
+              "softbound: out-of-bounds store in strcpy wrapper")
+        << Spec;
+
+    RunResult InBounds = Run(StrSrc("16", "hi"));
+    EXPECT_TRUE(InBounds.ok()) << Spec << ": " << InBounds.Message;
+    EXPECT_EQ(InBounds.ExitCode, 'i') << Spec;
+
+    RunResult Alloc = Run(AllocSrc(0));
+    EXPECT_TRUE(Alloc.ok()) << Spec << ": " << Alloc.Message;
+    EXPECT_EQ(Alloc.ExitCode, 7) << Spec;
+    RunResult PastAlloc = Run(AllocSrc(8));
+    EXPECT_EQ(PastAlloc.Trap, TrapKind::SpatialViolation) << Spec;
+  }
+}
+
 TEST(SoftBoundDetect, OutOfBoundsPointerCreationIsAllowed) {
   // C allows creating out-of-bounds pointers; only dereferences trap
   // (§3.1 "pointer arithmetic and pointer assignment").
