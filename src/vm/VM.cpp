@@ -826,13 +826,22 @@ void VMExec::execute(Instruction &I, Frame &Fr) {
       }
     }
     if (Callee->isBuiltin()) {
+      const BuiltinRow &R = builtinRow(Callee->builtin());
+      // A function pointer cast to a type with fewer parameters.
+      if (Call.numArgs() < R.numParams()) {
+        trap(TrapKind::BadIndirectCall, "call to @" + Callee->name() +
+                                            " with too few arguments " +
+                                            where(I));
+        return;
+      }
       // Reached through a pointer from instrumented code, a builtin runs
-      // its checked variant: the caller appended bounds in §3.3 order and
-      // expects a ptrpair (memcpy copies metadata, as a pointer-free
-      // source cannot be proven here).
+      // its checked variant when the caller appended its bounds in §3.3
+      // order (memcpy copies metadata: a pointer-free source cannot be
+      // proven here).
       BuiltinVariant V = Callee->builtinVariant();
       if (V == BuiltinVariant::Plain && Cfg.Instrumented &&
-          !Call.calledFunction())
+          !Call.calledFunction() &&
+          Call.numArgs() == R.boundsArg(R.numParams()))
         V = BuiltinVariant::Checked;
       execBuiltin(Fr, Call, Callee->builtin(), V);
       return;
@@ -1074,7 +1083,8 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
     if (CI.slot() >= 0)
       Fr.Regs[CI.slot()] = V;
   };
-  // A caller expecting a ptrpair gets the bounds the row's rule gives.
+  // A caller expecting a ptrpair gets the bounds the row's rule gives;
+  // null bounds when that rule needs bounds the caller did not pass.
   auto RetPtr = [&](uint64_t P) {
     if (!CI.type()->isPtrPair())
       return Ret(VMVal{P, 0, 0});
@@ -1082,6 +1092,8 @@ void VMExec::execBuiltin(Frame &Fr, const CallInst &CI, Builtin B,
     case ResultBounds::None:
       return Ret(VMVal{P, 0, 0});
     case ResultBounds::Arg0:
+      if (!Checked)
+        return Ret(VMVal{P, 0, 0});
       return Ret(VMVal{P, A[R.boundsArg(0)].A, A[R.boundsArg(0)].B});
     case ResultBounds::Alloc:
       return Ret(VMVal{P, P, P ? P + A[0].A : 0});

@@ -306,6 +306,28 @@ TEST(VMLimits, MallocBeyondTheHeapReturnsNull) {
   }
 }
 
+TEST(VMLimits, BuiltinThroughANarrowerPointer) {
+  // strcpy called through a one-parameter pointer type: the VM must not
+  // read an argument the call did not pass.
+  const char *Src = "int main() {\n"
+                    "  char b[4];\n"
+                    "  char *(*f)(char *) = (char *(*)(char *))strcpy;\n"
+                    "  b[0] = 0;\n"
+                    "  f(b);\n"
+                    "  return 5;\n"
+                    "}";
+  RunResult Plain = runPlain(Src);
+  EXPECT_EQ(Plain.Trap, TrapKind::BadIndirectCall);
+  EXPECT_EQ(Plain.Message.rfind("call to @strcpy with too few arguments", 0),
+            0u)
+      << Plain.Message;
+  // Instrumented, the call carries b's bounds as a second argument, so it
+  // runs the plain builtin and stays inside its arguments.
+  RunResult Instrumented = runInstrumented(Src);
+  EXPECT_TRUE(Instrumented.ok()) << Instrumented.Message;
+  EXPECT_EQ(Instrumented.ExitCode, 5);
+}
+
 TEST(VMLimits, OversizedObjectsAreRefused) {
   // Each object is far larger than its segment (or than 64 bits). None
   // may wrap an address computation or materialise its bytes on the
