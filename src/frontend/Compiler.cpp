@@ -460,10 +460,26 @@ void Parser::parseStructDef(bool IsUnion) {
   ST->setBody(std::move(Fields), std::move(Names), IsUnion);
 }
 
+/// True when \p Name is in the `_sb_` namespace the SoftBound pass renames
+/// every function into, or its `_sb_` form is a builtin's checked wrapper
+/// (memcpy_nometa would become _sb_memcpy_nometa).
+bool inSoftBoundNamespace(const std::string &Name) {
+  if (Name.rfind("_sb_", 0) == 0)
+    return true;
+  for (const BuiltinRow &R : builtinTable())
+    for (const char *W : {R.Wrapper, R.NoMetaWrapper})
+      if (W && W == "_sb_" + Name)
+        return true;
+  return false;
+}
+
 void Parser::parseFunctionRest(Type *RetTy, const std::string &Name,
                                FunctionType *FnTy,
                                const std::vector<std::string> &ParamNames) {
   Function *F = M.getFunction(Name);
+  if (!(F && F->isBuiltin()) && inSoftBoundNamespace(Name))
+    error("function name '" + Name +
+          "' is reserved: it collides with the SoftBound pass's _sb_ names");
   if (!F) {
     F = M.createFunction(Name, FnTy);
     Scopes.front()[Name] = Binding{.F = F};

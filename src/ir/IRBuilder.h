@@ -59,6 +59,7 @@ public:
   GEPInst *gep(Type *SourceTy, Value *Ptr, std::vector<Value *> Idx,
                const std::string &Name = "gep") {
     Type *Elem = GEPInst::resultElementType(SourceTy, Idx);
+    assert(Elem && "malformed GEP index path");
     return insert(
         new GEPInst(ctx().ptrTo(Elem), SourceTy, Ptr, std::move(Idx), Name));
   }

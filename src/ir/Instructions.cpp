@@ -13,34 +13,24 @@ using namespace softbound;
 
 Type *GEPInst::resultElementType(Type *SourceTy,
                                  const std::vector<Value *> &Indices) {
-  assert(!Indices.empty() && "GEP needs at least one index");
-  Type *Cur = SourceTy;
-  // The first index steps over whole SourceTy elements and does not change
-  // the element type.
-  for (size_t I = 1; I < Indices.size(); ++I) {
-    if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-      Cur = AT->element();
-      continue;
-    }
-    auto *ST = cast<StructType>(Cur);
-    auto *CI = cast<ConstantInt>(Indices[I]);
-    Cur = ST->field(static_cast<unsigned>(CI->value()));
-  }
-  return Cur;
+  Type *Elem = nullptr;
+  if (!walkLayout(SourceTy, Indices.data(),
+                  static_cast<unsigned>(Indices.size()),
+                  [&](const GEPStep &S) {
+                    Elem = S.Ty;
+                    return true;
+                  }))
+    return nullptr;
+  return Elem;
 }
 
 bool GEPInst::isStructFieldAccess() const {
-  // Walk the index path; report whether any step selects a struct field.
-  Type *Cur = SourceTy;
-  for (unsigned I = 1; I < numIndices(); ++I) {
-    if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-      Cur = AT->element();
-      continue;
-    }
-    if (isa<StructType>(Cur))
-      return true;
-  }
-  return false;
+  bool Field = false;
+  walkLayout([&](const GEPStep &S) {
+    Field = S.isField();
+    return !Field;
+  });
+  return Field;
 }
 
 const char *BinOpInst::opcodeName(Op O) {

@@ -140,6 +140,24 @@ public:
   static bool classof(const Value *V) { return V->kind() == ValueKind::Store; }
 };
 
+/// One index of a GEP as the layout walk reports it (GEPInst::walkLayout).
+/// The leading index and every array step scale their index by an element
+/// size; a struct step adds the constant offset of the field it selects.
+struct GEPStep {
+  enum StepKind : uint8_t {
+    Leading, ///< The first index, over whole sourceType() elements.
+    Array,   ///< A step into an array.
+    Field,   ///< A step into a struct; Index is a ConstantInt in range.
+  };
+  StepKind Kind = Leading;
+  Value *Index = nullptr; ///< The index operand.
+  uint64_t Bytes = 0;     ///< Element byte scale, or the field's offset.
+  uint64_t Count = 0;     ///< Array steps: the array's element count.
+  Type *Ty = nullptr;     ///< The type addressed after this step.
+
+  bool isField() const { return Kind == Field; }
+};
+
 /// LLVM-style getelementptr: ops[0] is the base pointer, ops[1..] are
 /// indices. The first index scales by sizeof(sourceType()); later indices
 /// step into arrays (any value) or structs (ConstantInt field numbers).
@@ -159,18 +177,61 @@ public:
   unsigned numIndices() const { return numOperands() - 1; }
   Value *index(unsigned I) const { return op(I + 1); }
 
-  /// Computes the element type a GEP with these indices points at, walking
-  /// from \p SourceTy. Struct steps must be ConstantInt.
+  /// The layout walk over the index path \p Idx[0, N) from \p SourceTy:
+  /// reports each index in turn to \p Visit(const GEPStep &) until it
+  /// returns false. Returns true once every index was reported; false
+  /// when Visit stopped the walk or the path is malformed. Allocation-free,
+  /// so the VM runs it on every executed GEP.
+  template <typename Fn>
+  static bool walkLayout(Type *SourceTy, Value *const *Idx, unsigned N,
+                         Fn &&Visit) {
+    assert(N > 0 && "GEP needs at least one index");
+    GEPStep S{GEPStep::Leading, Idx[0], SourceTy->sizeInBytes(), 0, SourceTy};
+    for (unsigned K = 1;; ++K) {
+      if (!Visit(static_cast<const GEPStep &>(S)))
+        return false;
+      if (K == N)
+        return true;
+      if (!layoutStep(S.Ty, Idx[K], S))
+        return false;
+    }
+  }
+  template <typename Fn> bool walkLayout(Fn &&Visit) const {
+    return walkLayout(SourceTy, operands().data() + 1, numIndices(), Visit);
+  }
+
+  /// The element type a GEP with these indices points at, walking from
+  /// \p SourceTy; null for a malformed path.
   static Type *resultElementType(Type *SourceTy,
                                  const std::vector<Value *> &Indices);
 
-  /// True if this GEP selects a field of a struct (its last step is a struct
-  /// field selection) — the case where SoftBound may shrink bounds (§3.1).
+  /// True if some step of this GEP selects a struct field — the case where
+  /// SoftBound may shrink bounds (§3.1).
   bool isStructFieldAccess() const;
 
   static bool classof(const Value *V) { return V->kind() == ValueKind::GEP; }
 
 private:
+  /// Lays out the step that indexes into \p Agg by \p Idx (any index
+  /// after the first). False when the step is malformed: \p Agg is not an
+  /// aggregate, or a struct step's index is not a ConstantInt in
+  /// [0, numFields). The verifier rejects exactly these paths.
+  static bool layoutStep(Type *Agg, Value *Idx, GEPStep &S) {
+    if (auto *AT = dyn_cast<ArrayType>(Agg)) {
+      S = {GEPStep::Array, Idx, AT->element()->sizeInBytes(), AT->count(),
+           AT->element()};
+      return true;
+    }
+    auto *ST = dyn_cast<StructType>(Agg);
+    auto *CI = dyn_cast<ConstantInt>(Idx);
+    if (!ST || !CI || CI->value() < 0 ||
+        static_cast<uint64_t>(CI->value()) >= ST->numFields())
+      return false;
+    auto Field = static_cast<unsigned>(CI->value());
+    S = {GEPStep::Field, Idx, ST->fieldOffset(Field), 0, ST->field(Field)};
+    return true;
+  }
+
   Type *SourceTy;
 };
 

@@ -124,11 +124,29 @@ private:
       const auto &G = cast<GEPInst>(I);
       if (!G.pointer()->type()->isPointer())
         error(I, "gep base is not a pointer");
-      if (G.numIndices() == 0)
+      if (G.numIndices() == 0) {
         error(I, "gep without indices");
+        break;
+      }
       for (unsigned K = 0; K < G.numIndices(); ++K)
         if (!G.index(K)->type()->isInt())
           error(I, "gep index is not an integer");
+      // The one place a malformed index path is rejected; every other
+      // layer reads the path through GEPInst::walkLayout and trusts it.
+      unsigned Steps = 0;
+      Type *Cur = nullptr;
+      if (!G.walkLayout([&](const GEPStep &S) {
+            ++Steps;
+            Cur = S.Ty;
+            return true;
+          })) {
+        std::string Where = "gep index " + std::to_string(Steps);
+        if (isa<StructType>(Cur))
+          error(I, Where + " is not a constant field number of " +
+                       Cur->str());
+        else
+          error(I, Where + " steps into non-aggregate type " + Cur->str());
+      }
       break;
     }
     case ValueKind::BinOp: {

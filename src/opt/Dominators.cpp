@@ -7,23 +7,32 @@
 #include "opt/Dominators.h"
 
 #include <algorithm>
-#include <functional>
 
 using namespace softbound;
 
-DomTree::DomTree(Function &F) {
-  // Postorder DFS from entry over successor edges.
-  std::set<BasicBlock *> Visited;
+DomTree::DomTree(Function &F) : Entry(F.entry()) {
+  // Postorder DFS from entry over successor edges, in successor order. It
+  // keeps its own stack: a deep CFG must not overflow the host's.
+  std::set<BasicBlock *> Visited{Entry};
   std::vector<BasicBlock *> Post;
-  std::function<void(BasicBlock *)> DFS = [&](BasicBlock *BB) {
-    if (!Visited.insert(BB).second)
-      return;
-    for (auto *S : BB->successors())
-      DFS(S);
-    Post.push_back(BB);
+  struct Frame {
+    BasicBlock *BB;
+    std::vector<BasicBlock *> Succs;
+    size_t Next;
   };
-  BasicBlock *Entry = F.entry();
-  DFS(Entry);
+  std::vector<Frame> Stack;
+  Stack.push_back({Entry, Entry->successors(), 0});
+  while (!Stack.empty()) {
+    Frame &Top = Stack.back();
+    if (Top.Next < Top.Succs.size()) {
+      BasicBlock *S = Top.Succs[Top.Next++];
+      if (Visited.insert(S).second)
+        Stack.push_back({S, S->successors(), 0}); // Invalidates Top.
+      continue;
+    }
+    Post.push_back(Top.BB);
+    Stack.pop_back();
+  }
 
   RPO.assign(Post.rbegin(), Post.rend());
   for (size_t I = 0; I < RPO.size(); ++I)

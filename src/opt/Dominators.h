@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Dominator tree (Cooper–Harvey–Kennedy iterative algorithm) and dominance
-/// frontiers, used by mem2reg for SSA construction.
+/// frontiers, used by mem2reg for SSA construction, plus the one
+/// dominator-tree walk every scoped analysis runs (DomTree::walk).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,11 +43,42 @@ public:
     return It == DF.end() ? Empty : It->second;
   }
 
-  /// Dominator-tree children (for the mem2reg renaming walk).
+  /// Dominator-tree children, in reverse-postorder.
   const std::vector<BasicBlock *> &children(BasicBlock *BB) const {
     static const std::vector<BasicBlock *> Empty;
     auto It = Kids.find(BB);
     return It == Kids.end() ? Empty : It->second;
+  }
+
+  /// The dominator-tree walk: a preorder from the entry block that calls
+  /// \p Enter(BB) on reaching a block and \p Leave(BB) once every block
+  /// BB dominates has been entered and left, taking children in
+  /// children() order. It keeps its own stack: a deep CFG must not
+  /// overflow the host's. Enter and Leave may edit instructions but not
+  /// the CFG.
+  template <typename EnterFn, typename LeaveFn>
+  void walk(EnterFn &&Enter, LeaveFn &&Leave) const {
+    struct Frame {
+      BasicBlock *BB;
+      const std::vector<BasicBlock *> *Kids;
+      size_t Next;
+    };
+    std::vector<Frame> Stack;
+    auto Push = [&](BasicBlock *BB) {
+      Enter(BB);
+      Stack.push_back({BB, &children(BB), 0});
+    };
+    Push(Entry);
+    while (!Stack.empty()) {
+      Frame &Top = Stack.back();
+      if (Top.Next < Top.Kids->size()) {
+        Push((*Top.Kids)[Top.Next++]); // Invalidates Top.
+        continue;
+      }
+      BasicBlock *Done = Top.BB;
+      Stack.pop_back();
+      Leave(Done);
+    }
   }
 
   /// Blocks in reverse postorder (reachable blocks only).
@@ -60,6 +92,7 @@ public:
   }
 
 private:
+  BasicBlock *Entry;
   std::map<BasicBlock *, BasicBlock *> IDom;
   std::map<BasicBlock *, std::set<BasicBlock *>> DF;
   std::map<BasicBlock *, std::vector<BasicBlock *>> Kids;

@@ -16,7 +16,6 @@
 #include "opt/Dominators.h"
 #include "opt/Passes.h"
 
-#include <functional>
 #include <map>
 #include <set>
 
@@ -102,10 +101,13 @@ void softbound::mem2reg(Function &F) {
     return Mod->undef(Promotable[Var]->allocatedType());
   };
 
+  // Cur's prior values, restored once a block's dominated subtree is done.
+  std::vector<std::pair<unsigned, Value *>> Saved;
+  std::vector<size_t> Marks;
   std::set<BasicBlock *> Visited;
-  std::function<void(BasicBlock *)> Walk = [&](BasicBlock *BB) {
+  auto Enter = [&](BasicBlock *BB) {
     Visited.insert(BB);
-    std::vector<std::pair<unsigned, Value *>> Saved;
+    Marks.push_back(Saved.size());
 
     for (auto It = BB->begin(); It != BB->end();) {
       Instruction *I = It->get();
@@ -157,13 +159,13 @@ void softbound::mem2reg(Function &F) {
           Phi->addIncoming(CurOrUndef(PV->second), BB);
       }
 
-    for (auto *Kid : DT.children(BB))
-      Walk(Kid);
-
-    for (auto It = Saved.rbegin(); It != Saved.rend(); ++It)
-      Cur[It->first] = It->second;
   };
-  Walk(F.entry());
+  auto Leave = [&](BasicBlock *) {
+    for (; Saved.size() > Marks.back(); Saved.pop_back())
+      Cur[Saved.back().first] = Saved.back().second;
+    Marks.pop_back();
+  };
+  DT.walk(Enter, Leave);
 
   // Remove the promoted allocas.
   for (auto &BB : F.blocks())

@@ -568,9 +568,9 @@ unsigned softbound::eliminateRedundantChecks(Function &F) {
     return 0;
   unsigned Removed = 0;
   for (auto &BB : F.blocks()) {
-    // (ptr, bounds) -> largest access size already checked in this block.
-    std::map<std::pair<Value *, Value *>, uint64_t> CheckedStore;
-    std::map<std::pair<Value *, Value *>, uint64_t> CheckedAny;
+    // (ptr, bounds) -> largest access size already checked in this block,
+    // by a load or a store check alike: both test the same bytes.
+    std::map<std::pair<Value *, Value *>, uint64_t> Checked;
     std::map<Value *, Instruction *> MetaLoaded; // addr -> live meta.load
 
     for (auto It = BB->begin(); It != BB->end();) {
@@ -578,11 +578,8 @@ unsigned softbound::eliminateRedundantChecks(Function &F) {
 
       if (auto *Chk = dyn_cast<SpatialCheckInst>(I)) {
         auto Key = std::make_pair(Chk->pointer(), Chk->bounds());
-        auto &Best = Chk->isStoreCheck() ? CheckedStore : CheckedAny;
-        // A store check subsumes a load check for the same pointer.
-        uint64_t Prior = std::max(CheckedStore.count(Key) ? CheckedStore[Key]
-                                                          : 0,
-                                  CheckedAny.count(Key) ? CheckedAny[Key] : 0);
+        auto Found = Checked.find(Key);
+        uint64_t Prior = Found == Checked.end() ? 0 : Found->second;
         if (Prior >= Chk->accessSize()) {
           It = BB->erase(It);
           ++Removed;
@@ -591,7 +588,7 @@ unsigned softbound::eliminateRedundantChecks(Function &F) {
         // Guarded checks may consume prior facts (above) but never supply
         // them: a skipped guard means the check did not execute.
         if (!Chk->isGuarded())
-          Best[Key] = std::max(Best[Key], Chk->accessSize());
+          Checked[Key] = std::max(Checked[Key], Chk->accessSize());
         ++It;
         continue;
       }
@@ -613,10 +610,8 @@ unsigned softbound::eliminateRedundantChecks(Function &F) {
       // may die. Conservatively invalidate both caches.
       if (isa<CallInst>(I) || isa<MetaStoreInst>(I)) {
         MetaLoaded.clear();
-        if (isa<CallInst>(I)) {
-          CheckedStore.clear();
-          CheckedAny.clear();
-        }
+        if (isa<CallInst>(I))
+          Checked.clear();
       }
       ++It;
     }

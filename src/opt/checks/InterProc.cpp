@@ -25,9 +25,9 @@
 ///     denote the same dynamic bounds, and a whole-global canon is the
 ///     license for static range elision (shrunk sub-object bounds never
 ///     canonicalize to their global).
-///   * FactEnv — scoped facts keyed (root, scale, index, bounds) holding
-///     proven byte-interval sets, the symbolic generalization of
-///     RangeAnalysis.h's ProvenRanges.
+///   * Scoped facts keyed (root, scale, index, bounds) holding proven
+///     byte-interval sets: RangeAnalysis.h's ScopedFacts with the
+///     symbolic key.
 ///   * Summaries + substitution — per-function argument/global check
 ///     requirements, must-execute check hulls, and return-checked hulls,
 ///     each substitutable at a call site through the sbabi layout.
@@ -362,13 +362,9 @@ private:
     }
     // Accumulate down the dominator tree: a block with a unique CFG
     // predecessor inherits that edge's refinements for itself and its
-    // dominated subtree. Iterative preorder (a pathologically deep CFG
-    // must not overflow the host stack); a block's immediate dominator is
+    // dominated subtree. In preorder a block's immediate dominator is
     // always processed before the block itself.
-    std::vector<BasicBlock *> Work{F.entry()};
-    while (!Work.empty()) {
-      BasicBlock *BB = Work.back();
-      Work.pop_back();
+    DT.walk([&](BasicBlock *BB) {
       std::vector<Refine> Acc;
       if (BasicBlock *P = DT.idom(BB))
         Acc = AccRef[P];
@@ -380,9 +376,7 @@ private:
             Acc.push_back(R);
       }
       AccRef[BB] = std::move(Acc);
-      for (BasicBlock *Child : DT.children(BB))
-        Work.push_back(Child);
-    }
+    }, [](BasicBlock *) {});
   }
 
   IntRange evalInst(const Instruction *I, const BasicBlock *B) const {
@@ -594,37 +588,14 @@ struct FactKey {
   }
 };
 
-/// Scoped FactKey -> IntervalSet table for the dominator-tree walk
-/// (ProvenRanges with the symbolic key). The walk snapshots mark() when
-/// entering a tree node and rollbackTo() when leaving it, so only facts
-/// established on the dominating path stay visible.
-class FactEnv {
-public:
-  bool covers(const FactKey &K, int64_t Lo, int64_t Hi) const {
-    auto It = Facts.find(K);
-    return It != Facts.end() && It->second.covers(Lo, Hi);
-  }
-
-  void add(const FactKey &K, int64_t Lo, int64_t Hi) {
-    if (Lo >= Hi)
-      return;
-    Undo.emplace_back(K, Facts[K]);
-    Facts[K].add(Lo, Hi);
-  }
-
-  size_t mark() const { return Undo.size(); }
-
-  void rollbackTo(size_t Mark) {
-    while (Undo.size() > Mark) {
-      Facts[Undo.back().first] = std::move(Undo.back().second);
-      Undo.pop_back();
-    }
-  }
-
-private:
-  std::map<FactKey, IntervalSet> Facts;
-  std::vector<std::pair<FactKey, IntervalSet>> Undo;
-};
+/// Records [Lo, Hi) under \p K in the dominator-tree walk's scoped facts
+/// (RangeAnalysis.h's, with the symbolic key). An empty extent proves
+/// nothing and is not recorded.
+void addFact(ScopedFacts<FactKey> &Env, const FactKey &K, int64_t Lo,
+             int64_t Hi) {
+  if (Lo < Hi)
+    Env.add(K, Lo, Hi);
+}
 
 //===----------------------------------------------------------------------===//
 // Summaries
@@ -714,10 +685,12 @@ private:
   void propagateArgRanges();
   void summarize(Function &F);
   void walk(Function &F);
-  void walkBlockBody(FuncInfo &FI, FactEnv &Env, BasicBlock *BB);
-  void visitCheck(FuncInfo &FI, FactEnv &Env, BasicBlock *BB,
+  void walkBlockBody(FuncInfo &FI, ScopedFacts<FactKey> &Env,
+                     BasicBlock *BB);
+  void visitCheck(FuncInfo &FI, ScopedFacts<FactKey> &Env, BasicBlock *BB,
                   BasicBlock::iterator It);
-  void visitCall(FactEnv &Env, CallInst *Call, Function *Callee);
+  void visitCall(ScopedFacts<FactKey> &Env, CallInst *Call,
+                 Function *Callee);
   bool substituteReq(const CheckReq &R, const CallInst &Call,
                      const Function &Callee, FactKey &Key, int64_t &Lo,
                      int64_t &Hi) const;
@@ -1030,8 +1003,8 @@ bool Engine::substituteReq(const CheckReq &R, const CallInst &Call,
   return true;
 }
 
-void Engine::visitCheck(FuncInfo &FI, FactEnv &Env, BasicBlock *BB,
-                        BasicBlock::iterator It) {
+void Engine::visitCheck(FuncInfo &FI, ScopedFacts<FactKey> &Env,
+                        BasicBlock *BB, BasicBlock::iterator It) {
   auto *C = cast<SpatialCheckInst>(It->get());
   LinearPtr L = decomposeLinearPtr(C->pointer());
   CanonBounds CB = canonBounds(C->bounds());
@@ -1057,7 +1030,7 @@ void Engine::visitCheck(FuncInfo &FI, FactEnv &Env, BasicBlock *BB,
     int64_t ObjSize = static_cast<int64_t>(G->valueType()->sizeInBytes());
     if (!Off.empty() && Off.Lo >= 0 && Off.Hi <= ObjSize - Size) {
       mark(C, Reason::Range);
-      Env.add(Key, L.Base, End);
+      addFact(Env, Key, L.Base, End);
       return;
     }
   }
@@ -1099,10 +1072,11 @@ void Engine::visitCheck(FuncInfo &FI, FactEnv &Env, BasicBlock *BB,
     break; // Loads, stores, metadata ops, terminators: barrier.
   }
 
-  Env.add(Key, L.Base, End);
+  addFact(Env, Key, L.Base, End);
 }
 
-void Engine::visitCall(FactEnv &Env, CallInst *Call, Function *Callee) {
+void Engine::visitCall(ScopedFacts<FactKey> &Env, CallInst *Call,
+                       Function *Callee) {
   const FuncSummary &Sum = Summaries[Callee];
 
   // Requirements first: facts established *by* this call must not prove
@@ -1124,7 +1098,7 @@ void Engine::visitCall(FactEnv &Env, CallInst *Call, Function *Callee) {
     FactKey Key;
     int64_t Lo, Hi;
     if (substituteReq(R, *Call, *Callee, Key, Lo, Hi))
-      Env.add(Key, Lo, Hi);
+      addFact(Env, Key, Lo, Hi);
   }
 
   if (Sum.HasRet) {
@@ -1135,12 +1109,13 @@ void Engine::visitCall(FactEnv &Env, CallInst *Call, Function *Callee) {
       FactKey Key{It->second.first, 0, nullptr,
                   canonBounds(It->second.second)};
       for (const ByteInterval &Iv : Sum.RetChecked.intervals())
-        Env.add(Key, Iv.Lo, Iv.Hi);
+        addFact(Env, Key, Iv.Lo, Iv.Hi);
     }
   }
 }
 
-void Engine::walkBlockBody(FuncInfo &FI, FactEnv &Env, BasicBlock *BB) {
+void Engine::walkBlockBody(FuncInfo &FI, ScopedFacts<FactKey> &Env,
+                           BasicBlock *BB) {
   for (auto It = BB->begin(); It != BB->end(); ++It) {
     Instruction *I = It->get();
     if (auto *C = dyn_cast<SpatialCheckInst>(I)) {
@@ -1162,33 +1137,13 @@ void Engine::walkBlockBody(FuncInfo &FI, FactEnv &Env, BasicBlock *BB) {
 
 void Engine::walk(Function &F) {
   FuncInfo &FI = Infos[&F];
-  FactEnv Env;
-  // Iterative preorder over the dominator tree (a deep CFG must not
-  // overflow the host stack). Each frame records the undo mark taken on
-  // entry and rolls its block's facts back once the dominated subtree
-  // completes — popped innermost-first, matching the scope nesting of
-  // the recursive formulation.
-  struct Frame {
-    BasicBlock *BB;
-    size_t NextChild;
-    size_t Mark;
-  };
-  std::vector<Frame> Stack;
-  auto enter = [&](BasicBlock *BB) {
-    Stack.push_back({BB, 0, Env.mark()});
-    walkBlockBody(FI, Env, BB);
-  };
-  enter(F.entry());
-  while (!Stack.empty()) {
-    Frame &Top = Stack.back();
-    const std::vector<BasicBlock *> &Kids = FI.DT->children(Top.BB);
-    if (Top.NextChild == Kids.size()) {
-      Env.rollbackTo(Top.Mark);
-      Stack.pop_back();
-      continue;
-    }
-    enter(Kids[Top.NextChild++]); // Invalidates Top; re-fetched next turn.
-  }
+  ScopedFacts<FactKey> Env;
+  FI.DT->walk(
+      [&](BasicBlock *BB) {
+        Env.enter();
+        walkBlockBody(FI, Env, BB);
+      },
+      [&](BasicBlock *) { Env.leave(); });
 }
 
 void Engine::prepare() {

@@ -142,14 +142,6 @@ constexpr int64_t MaxProductTerm = int64_t(1) << 62;
 constexpr int64_t CrossProdMax = int64_t(1) << 60;
 constexpr int64_t CrossCMax = int64_t(1) << 61;
 
-bool fitsWidth(__int128 V, unsigned Bits) {
-  if (Bits >= 64)
-    Bits = 64;
-  __int128 Max = (__int128(1) << (Bits - 1)) - 1;
-  __int128 Min = -(__int128(1) << (Bits - 1));
-  return V >= Min && V <= Max;
-}
-
 __int128 widthMin(unsigned Bits) {
   if (Bits >= 64)
     Bits = 64;
@@ -528,35 +520,17 @@ bool linearizePtr(Value *P, const NaturalLoop &L, const IVBox &Box,
   if (!linearizePtr(G->pointer(), L, Box, Syms, Win, Used, Out, Depth + 1))
     return false;
 
-  Type *Cur = G->sourceType();
-  for (unsigned K = 0; K < G->numIndices(); ++K) {
-    int64_t Scale;
-    if (K == 0) {
-      Scale = static_cast<int64_t>(Cur->sizeInBytes());
-    } else if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-      Scale = static_cast<int64_t>(AT->element()->sizeInBytes());
-      Cur = AT->element();
-    } else if (auto *ST = dyn_cast<StructType>(Cur)) {
-      auto *CI = dyn_cast<ConstantInt>(G->index(K));
-      if (!CI)
-        return false;
-      unsigned FieldIdx = static_cast<unsigned>(CI->value());
-      if (FieldIdx >= ST->numFields())
-        return false;
-      Out.Off.B += static_cast<int64_t>(ST->fieldOffset(FieldIdx));
-      Cur = ST->field(FieldIdx);
-      continue;
-    } else {
-      return false;
+  bool Folded = G->walkLayout([&](const GEPStep &S) {
+    if (S.isField()) {
+      Out.Off.B += static_cast<int64_t>(S.Bytes);
+      return true;
     }
     LinExpr Idx;
-    if (!linearizeInt(G->index(K), Box, Syms, Win, Used, Idx))
-      return false;
-    if (!addScaled(Out.Off, Idx, Scale))
-      return false;
-  }
+    return linearizeInt(S.Index, Box, Syms, Win, Used, Idx) &&
+           addScaled(Out.Off, Idx, static_cast<int64_t>(S.Bytes));
+  });
   // Final guard: hull offsets stay far from any 64-bit wrap.
-  return boxFits(Out.Off, Box, 64, Win);
+  return Folded && boxFits(Out.Off, Box, 64, Win);
 }
 
 /// Inserts \p I before the terminator of \p BB.

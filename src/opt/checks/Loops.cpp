@@ -114,14 +114,6 @@ std::vector<NaturalLoop> checkopt::findSimpleLoops(Function &F,
 
 namespace {
 
-bool fitsWidth(__int128 V, unsigned Bits) {
-  if (Bits > 64)
-    Bits = 64;
-  __int128 Max = (__int128(1) << (Bits - 1)) - 1;
-  __int128 Min = -(__int128(1) << (Bits - 1));
-  return V >= Min && V <= Max;
-}
-
 /// Matches \p Phi against the [init from the preheader, phi +/- constant
 /// from a latch-side binop] shape, returning the raw preheader incoming
 /// (constant *or* symbolic — the callers decide what they accept).

@@ -32,36 +32,41 @@ bool accumulate(__int128 &Acc, int64_t Idx, int64_t Scale) {
 
 bool checkopt::constantGEPOffset(const GEPInst *G, int64_t &OutBytes) {
   __int128 Off = 0;
-  Type *Cur = G->sourceType();
-  auto *First = dyn_cast<ConstantInt>(G->index(0));
-  if (!First)
+  if (!G->walkLayout([&](const GEPStep &S) {
+        auto *CI = dyn_cast<ConstantInt>(S.Index);
+        return CI && accumulate(Off, S.isField() ? 1 : CI->value(),
+                                static_cast<int64_t>(S.Bytes));
+      }))
     return false;
-  if (!accumulate(Off, First->value(),
-                  static_cast<int64_t>(Cur->sizeInBytes())))
-    return false;
-  for (unsigned K = 1; K < G->numIndices(); ++K) {
-    auto *CI = dyn_cast<ConstantInt>(G->index(K));
-    if (!CI)
-      return false;
-    if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-      if (!accumulate(Off, CI->value(),
-                      static_cast<int64_t>(AT->element()->sizeInBytes())))
-        return false;
-      Cur = AT->element();
-      continue;
-    }
-    auto *ST = dyn_cast<StructType>(Cur);
-    if (!ST)
-      return false;
-    unsigned FieldIdx = static_cast<unsigned>(CI->value());
-    if (FieldIdx >= ST->numFields())
-      return false;
-    if (!accumulate(Off, 1, static_cast<int64_t>(ST->fieldOffset(FieldIdx))))
-      return false;
-    Cur = ST->field(FieldIdx);
-  }
   OutBytes = static_cast<int64_t>(Off);
   return true;
+}
+
+const Value *checkopt::safeConstantRoot(const Value *P, uint64_t &Offset) {
+  Offset = 0;
+  for (int Depth = 0; Depth < 16; ++Depth) {
+    if (const auto *BC = dyn_cast<CastInst>(P);
+        BC && BC->opcode() == CastInst::Op::Bitcast) {
+      P = BC->source();
+      continue;
+    }
+    const auto *G = dyn_cast<GEPInst>(P);
+    if (!G)
+      return P;
+    if (!G->walkLayout([&](const GEPStep &S) {
+          const auto *CI = dyn_cast<ConstantInt>(S.Index);
+          if (!CI || CI->value() < 0)
+            return false;
+          auto Idx = static_cast<uint64_t>(CI->value());
+          if (S.Kind == GEPStep::Array && Idx >= S.Count)
+            return false;
+          Offset += S.isField() ? S.Bytes : Idx * S.Bytes;
+          return true;
+        }))
+      return nullptr;
+    P = G->pointer();
+  }
+  return nullptr;
 }
 
 PtrOffset checkopt::decomposePointer(Value *P) {
@@ -117,43 +122,25 @@ LinearPtr checkopt::decomposeLinearPtr(Value *P) {
     __int128 Base = Out.Base;
     __int128 Scale = Out.Scale;
     Value *Idx = Out.Index;
-    bool OK = true;
-    Type *Cur = G->sourceType();
-    for (unsigned K = 0; K < G->numIndices() && OK; ++K) {
-      int64_t ElemSize;
-      if (K == 0) {
-        ElemSize = static_cast<int64_t>(Cur->sizeInBytes());
-      } else if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-        Cur = AT->element();
-        ElemSize = static_cast<int64_t>(Cur->sizeInBytes());
-      } else {
-        // Struct step: the verifier guarantees a constant field number.
-        auto *ST = dyn_cast<StructType>(Cur);
-        auto *CI = dyn_cast<ConstantInt>(G->index(K));
-        if (!ST || !CI || CI->value() < 0 ||
-            static_cast<uint64_t>(CI->value()) >= ST->numFields()) {
-          OK = false;
-          break;
-        }
-        unsigned FieldIdx = static_cast<unsigned>(CI->value());
-        Base += static_cast<int64_t>(ST->fieldOffset(FieldIdx));
-        Cur = ST->field(FieldIdx);
-        continue;
+    bool OK = G->walkLayout([&](const GEPStep &S) {
+      if (S.isField()) {
+        Base += static_cast<int64_t>(S.Bytes);
+        return true;
       }
-      if (auto *CI = dyn_cast<ConstantInt>(G->index(K))) {
+      auto ElemSize = static_cast<int64_t>(S.Bytes);
+      if (auto *CI = dyn_cast<ConstantInt>(S.Index)) {
         Base += __int128(CI->value()) * ElemSize;
-        continue;
+        return true;
       }
       if (ElemSize == 0)
-        continue; // Zero-sized step contributes nothing.
-      Value *S = stripSExt(G->index(K));
-      if (Idx && Idx != S) {
-        OK = false; // Two distinct variable indices: stop at this GEP.
-        break;
-      }
-      Idx = S;
+        return true; // Zero-sized step contributes nothing.
+      Value *V = stripSExt(S.Index);
+      if (Idx && Idx != V)
+        return false; // Two distinct variable indices: stop at this GEP.
+      Idx = V;
       Scale += ElemSize;
-    }
+      return true;
+    });
     if (!OK || Base < -__int128(MaxDecomposedOffset) ||
         Base > __int128(MaxDecomposedOffset) ||
         Scale > __int128(MaxDecomposedOffset))

@@ -39,8 +39,16 @@ struct PtrOffset {
 };
 
 /// Byte offset of a GEP whose indices are all constants. Returns false for
-/// variable indices or unsized element types.
+/// variable indices or an offset past 2^40 bytes.
 bool constantGEPOffset(const GEPInst *G, int64_t &OutBytes);
+
+/// CCured-SAFE's constant-offset walk, shared by SafeElision's static
+/// proof and Partition's fresh-malloc slots: strips up to 16 bitcasts and
+/// GEPs off \p P whose indices are all non-negative constants, with every
+/// interior array index below its count, summing their byte offset
+/// (modulo 2^64) into \p Offset. Returns the value under them, or null
+/// when a GEP breaks that rule or the chain is longer.
+const Value *safeConstantRoot(const Value *P, uint64_t &Offset);
 
 /// Strips bitcasts and constant-index GEPs off \p P, accumulating the byte
 /// offset. Always succeeds: the worst case is Root == P, Offset == 0.
@@ -88,48 +96,36 @@ private:
   std::vector<ByteInterval> Iv; ///< Sorted by Lo; disjoint, non-adjacent.
 };
 
-/// Scoped (root, bounds) -> proven-interval facts for a preorder walk of
-/// the dominator tree. Enter a Scope per tree node; facts added inside it
-/// are rolled back when it is destroyed, so only facts established on the
-/// dominating path remain visible.
-class ProvenRanges {
+/// Scoped Key -> proven-interval facts for the dominator-tree walk
+/// (DomTree::walk): call enter() from its enter hook and leave() from its
+/// leave hook, and the facts added while a block's subtree is walked are
+/// rolled back once it is done, so only facts established on the
+/// dominating path stay visible.
+template <typename Key> class ScopedFacts {
 public:
-  using Key = std::pair<const Value *, const Value *>;
-
-  class Scope {
-  public:
-    explicit Scope(ProvenRanges &PR) : PR(PR), Mark(PR.Undo.size()) {}
-    ~Scope() { PR.rollbackTo(Mark); }
-    Scope(const Scope &) = delete;
-    Scope &operator=(const Scope &) = delete;
-
-  private:
-    ProvenRanges &PR;
-    size_t Mark;
-  };
-
-  bool covers(const Value *Root, const Value *Bounds, int64_t Lo,
-              int64_t Hi) const {
-    auto It = Facts.find(Key(Root, Bounds));
+  bool covers(const Key &K, int64_t Lo, int64_t Hi) const {
+    auto It = Facts.find(K);
     return It != Facts.end() && It->second.covers(Lo, Hi);
   }
 
-  void add(const Value *Root, const Value *Bounds, int64_t Lo, int64_t Hi) {
-    Key K(Root, Bounds);
-    Undo.emplace_back(K, Facts[K]); // Snapshot for scope rollback.
-    Facts[K].add(Lo, Hi);
+  void add(const Key &K, int64_t Lo, int64_t Hi) {
+    IntervalSet &Set = Facts[K];
+    Undo.emplace_back(K, Set); // Snapshot for the rollback.
+    Set.add(Lo, Hi);
+  }
+
+  void enter() { Marks.push_back(Undo.size()); }
+
+  void leave() {
+    for (; Undo.size() > Marks.back(); Undo.pop_back())
+      Facts[Undo.back().first] = std::move(Undo.back().second);
+    Marks.pop_back();
   }
 
 private:
-  void rollbackTo(size_t Mark) {
-    while (Undo.size() > Mark) {
-      Facts[Undo.back().first] = std::move(Undo.back().second);
-      Undo.pop_back();
-    }
-  }
-
   std::map<Key, IntervalSet> Facts;
   std::vector<std::pair<Key, IntervalSet>> Undo;
+  std::vector<size_t> Marks;
 };
 
 } // namespace checkopt

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Dominance-based redundant spatial-check elimination. A preorder walk of
-/// the dominator tree carries two scoped fact tables:
+/// the dominator tree (DomTree::walk) carries two scoped fact tables:
 ///
 ///   * Exact facts: proven intervals keyed by the checked pointer SSA
 ///     value itself — a later check on the same SSA pointer with an
@@ -27,8 +27,6 @@
 #include "opt/checks/CheckOpt.h"
 #include "opt/checks/RangeAnalysis.h"
 
-#include <set>
-
 using namespace softbound;
 using namespace softbound::checkopt;
 
@@ -43,32 +41,41 @@ bool softbound::instDominates(const DomTree &DT, const InstOrder &Ord,
 
 namespace {
 
-/// The recursive dominator-tree walk. Facts live in the two ProvenRanges
-/// tables; FuncPtrSeen deduplicates function-pointer encoding checks.
+using CheckKey = std::pair<const Value *, const Value *>;
+
+/// The dominator-tree walk's per-block work. Facts live in three scoped
+/// tables; a function-pointer check's presence is recorded as the unit
+/// interval [0, 1) of its (pointer, bounds) key.
 class RCEWalker {
 public:
   RCEWalker(Function &F, const CheckOptConfig &Cfg, CheckOptStats &Stats)
-      : F(F), DT(F), Cfg(Cfg), Stats(Stats) {}
+      : DT(F), Cfg(Cfg), Stats(Stats) {}
 
-  void run() { walk(F.entry()); }
+  void run() {
+    DT.walk([this](BasicBlock *BB) { visit(BB); },
+            [this](BasicBlock *) {
+              Exact.leave();
+              Ranged.leave();
+              FuncPtrSeen.leave();
+            });
+  }
 
 private:
-  void walk(BasicBlock *BB);
+  void visit(BasicBlock *BB);
 
-  Function &F;
   DomTree DT;
   const CheckOptConfig &Cfg;
   CheckOptStats &Stats;
 
-  ProvenRanges Exact; ///< Keyed by (checked pointer SSA value, bounds).
-  ProvenRanges Ranged; ///< Keyed by (decomposed root, bounds).
-  std::set<std::pair<const Value *, const Value *>> FuncPtrSeen;
+  ScopedFacts<CheckKey> Exact;       ///< (checked pointer, bounds).
+  ScopedFacts<CheckKey> Ranged;      ///< (decomposed root, bounds).
+  ScopedFacts<CheckKey> FuncPtrSeen; ///< (function pointer, bounds).
 };
 
-void RCEWalker::walk(BasicBlock *BB) {
-  ProvenRanges::Scope ExactScope(Exact);
-  ProvenRanges::Scope RangedScope(Ranged);
-  std::vector<std::pair<const Value *, const Value *>> LocalFuncPtr;
+void RCEWalker::visit(BasicBlock *BB) {
+  Exact.enter();
+  Ranged.enter();
+  FuncPtrSeen.enter();
 
   for (auto It = BB->begin(); It != BB->end();) {
     Instruction *I = It->get();
@@ -78,14 +85,14 @@ void RCEWalker::walk(BasicBlock *BB) {
       Value *B = Chk->bounds();
       int64_t Size = static_cast<int64_t>(Chk->accessSize());
 
-      if (Cfg.EliminateDominated && Exact.covers(P, B, 0, Size)) {
+      if (Cfg.EliminateDominated && Exact.covers({P, B}, 0, Size)) {
         It = BB->erase(It);
         ++Stats.DominatedEliminated;
         continue;
       }
       PtrOffset PO = decomposePointer(P);
       if (Cfg.RangeSubsumption &&
-          Ranged.covers(PO.Root, B, PO.Offset, PO.Offset + Size)) {
+          Ranged.covers({PO.Root, B}, PO.Offset, PO.Offset + Size)) {
         It = BB->erase(It);
         ++Stats.RangeEliminated;
         continue;
@@ -96,9 +103,9 @@ void RCEWalker::walk(BasicBlock *BB) {
       // a fact: nothing guarantees it executed.
       if (!Chk->isGuarded()) {
         if (Cfg.EliminateDominated)
-          Exact.add(P, B, 0, Size);
+          Exact.add({P, B}, 0, Size);
         if (Cfg.RangeSubsumption)
-          Ranged.add(PO.Root, B, PO.Offset, PO.Offset + Size);
+          Ranged.add({PO.Root, B}, PO.Offset, PO.Offset + Size);
       }
       ++It;
       continue;
@@ -106,27 +113,19 @@ void RCEWalker::walk(BasicBlock *BB) {
 
     if (auto *FPC = dyn_cast<FuncPtrCheckInst>(I);
         FPC && Cfg.EliminateDominated) {
-      auto Key = std::make_pair(static_cast<const Value *>(FPC->pointer()),
-                                static_cast<const Value *>(FPC->bounds()));
-      if (FuncPtrSeen.count(Key)) {
+      CheckKey Key(FPC->pointer(), FPC->bounds());
+      if (FuncPtrSeen.covers(Key, 0, 1)) {
         It = BB->erase(It);
         ++Stats.FuncPtrEliminated;
         continue;
       }
-      FuncPtrSeen.insert(Key);
-      LocalFuncPtr.push_back(Key);
+      FuncPtrSeen.add(Key, 0, 1);
       ++It;
       continue;
     }
 
     ++It;
   }
-
-  for (BasicBlock *Child : DT.children(BB))
-    walk(Child);
-
-  for (const auto &Key : LocalFuncPtr)
-    FuncPtrSeen.erase(Key);
 }
 
 } // namespace

@@ -297,24 +297,20 @@ void SoftBoundTransform::handleGEP(GEPInst *GI, BasicBlock *BB,
 
   // Find the index prefix ending at the last struct-field step; the bounds
   // become [&field, &field + sizeof(field)).
-  Type *Cur = GI->sourceType();
-  unsigned LastStructStep = 0; // Index position of the last struct step.
-  for (unsigned K = 1; K < GI->numIndices(); ++K) {
-    if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-      Cur = AT->element();
-      continue;
+  unsigned Pos = 0, LastStructStep = 0; // Index positions.
+  Type *FieldTy = nullptr;
+  GI->walkLayout([&](const GEPStep &S) {
+    if (S.isField()) {
+      LastStructStep = Pos;
+      FieldTy = S.Ty;
     }
-    auto *ST = cast<StructType>(Cur);
-    unsigned FieldIdx =
-        static_cast<unsigned>(cast<ConstantInt>(GI->index(K))->value());
-    Cur = ST->field(FieldIdx);
-    LastStructStep = K;
-  }
+    ++Pos;
+    return true;
+  });
 
   std::vector<Value *> Prefix;
   for (unsigned K = 0; K <= LastStructStep; ++K)
     Prefix.push_back(GI->index(K));
-  Type *FieldTy = GEPInst::resultElementType(GI->sourceType(), Prefix);
 
   auto Next = std::next(It);
   auto *FieldBase = insertBefore(

@@ -643,24 +643,11 @@ void VMExec::execute(Instruction &I, Frame &Fr) {
     auto &G = cast<GEPInst>(I);
     uint64_t Base = eval(Fr, G.pointer()).A;
     uint64_t Addr = Base;
-    Type *Cur = G.sourceType();
-    Addr += static_cast<uint64_t>(
-        static_cast<int64_t>(eval(Fr, G.index(0)).A) *
-        static_cast<int64_t>(Cur->sizeInBytes()));
-    for (unsigned K = 1; K < G.numIndices(); ++K) {
-      if (auto *AT = dyn_cast<ArrayType>(Cur)) {
-        Addr += static_cast<uint64_t>(
-            static_cast<int64_t>(eval(Fr, G.index(K)).A) *
-            static_cast<int64_t>(AT->element()->sizeInBytes()));
-        Cur = AT->element();
-        continue;
-      }
-      auto *ST = cast<StructType>(Cur);
-      unsigned FieldIdx =
-          static_cast<unsigned>(cast<ConstantInt>(G.index(K))->value());
-      Addr += ST->fieldOffset(FieldIdx);
-      Cur = ST->field(FieldIdx);
-    }
+    // Address arithmetic wraps modulo 2^64.
+    G.walkLayout([&](const GEPStep &S) {
+      Addr += S.isField() ? S.Bytes : eval(Fr, S.Index).A * S.Bytes;
+      return true;
+    });
     if (Cfg.Checker && !Cfg.Checker->checkDerive(Base, Addr)) {
       trap(TrapKind::BaselineViolation,
            std::string(Cfg.Checker->name()) +

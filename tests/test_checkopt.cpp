@@ -85,20 +85,22 @@ TEST(IntervalSet, MergesAdjacentAndOverlapping) {
   EXPECT_TRUE(S.covers(-8, -5));
 }
 
-TEST(ProvenRanges, ScopeRollbackDropsInnerFacts) {
-  checkopt::ProvenRanges PR;
+TEST(ScopedFacts, LeaveDropsInnerFacts) {
+  using Key = std::pair<const Value *, const Value *>;
+  checkopt::ScopedFacts<Key> PR;
   int RootA, BoundsA; // Addresses stand in for Value pointers.
-  const Value *R = reinterpret_cast<Value *>(&RootA);
-  const Value *B = reinterpret_cast<Value *>(&BoundsA);
-  checkopt::ProvenRanges::Scope Outer(PR);
-  PR.add(R, B, 0, 8);
-  {
-    checkopt::ProvenRanges::Scope Inner(PR);
-    PR.add(R, B, 8, 16);
-    EXPECT_TRUE(PR.covers(R, B, 0, 16));
-  }
-  EXPECT_TRUE(PR.covers(R, B, 0, 8));
-  EXPECT_FALSE(PR.covers(R, B, 8, 16)) << "inner-scope fact must roll back";
+  const Key K(reinterpret_cast<Value *>(&RootA),
+              reinterpret_cast<Value *>(&BoundsA));
+  PR.enter();
+  PR.add(K, 0, 8);
+  PR.enter();
+  PR.add(K, 8, 16);
+  EXPECT_TRUE(PR.covers(K, 0, 16));
+  PR.leave();
+  EXPECT_TRUE(PR.covers(K, 0, 8));
+  EXPECT_FALSE(PR.covers(K, 8, 16)) << "inner-scope fact must roll back";
+  PR.leave();
+  EXPECT_FALSE(PR.covers(K, 0, 8));
 }
 
 TEST(RangeAnalysis, DecomposesConstantGEPChains) {

@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "frontend/Compiler.h"
+#include "ir/Builtins.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
 #include "vm/VM.h"
@@ -283,6 +284,48 @@ TEST(FrontendVM, DefiningABuiltinIsAnError) {
   RunResult R = execSource("long strlen(char *s);\n"
                            "int main() { return strlen(\"abc\"); }");
   EXPECT_EQ(R.ExitCode, 3);
+}
+
+TEST(FrontendVM, SoftBoundNamesAreReserved) {
+  // The SoftBound pass renames every function f to _sb_f, so a user
+  // function in the _sb_ namespace would collide with a renamed one.
+  CompileResult CR = compileC("int f() { return 2; }\n"
+                              "int _sb_f() { return 7; }\n"
+                              "int main() { return f(); }");
+  ASSERT_FALSE(CR.ok());
+  EXPECT_NE(CR.errorText().find("function name '_sb_f' is reserved"),
+            std::string::npos)
+      << CR.errorText();
+  CR = compileC("int _sb_g();\nint main() { return 0; }");
+  ASSERT_FALSE(CR.ok()) << "a prototype is refused too";
+
+  // So would a function whose _sb_ form is a builtin's checked wrapper
+  // (memcpy_nometa -> _sb_memcpy_nometa); every such name is refused.
+  unsigned Refused = 0;
+  for (const BuiltinRow &R : builtinTable())
+    for (const char *W : {R.Wrapper, R.NoMetaWrapper}) {
+      if (!W)
+        continue;
+      std::string Name = std::string(W).substr(4);
+      bool IsBuiltin = false;
+      for (const BuiltinRow &Other : builtinTable())
+        IsBuiltin |= Name == Other.Name;
+      if (IsBuiltin)
+        continue; // The builtin's own name: covered by the test above.
+      CR = compileC("void " + Name + "() {}\nint main() { return 0; }");
+      EXPECT_NE(CR.errorText().find("function name '" + Name +
+                                    "' is reserved"),
+                std::string::npos)
+          << Name << ": " << CR.errorText();
+      ++Refused;
+    }
+  EXPECT_GE(Refused, 1u) << "memcpy_nometa at least";
+
+  // Builtin prototypes and names merely containing _sb_ stay accepted.
+  RunResult R = execSource("void *memcpy(void *d, void *s, long n);\n"
+                           "int my_sb_f() { return 4; }\n"
+                           "int main() { return my_sb_f(); }");
+  EXPECT_EQ(R.ExitCode, 4);
 }
 
 TEST(FrontendVM, SizeofSemantics) {

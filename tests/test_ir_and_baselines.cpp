@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 
 using namespace softbound;
@@ -111,6 +112,76 @@ TEST(Verifier, CatchesBadSpatialCheckOperands) {
   verifyFunction(*F, Errors);
   ASSERT_FALSE(Errors.empty());
   EXPECT_NE(Errors[0].find("bounds"), std::string::npos);
+}
+
+/// Verifies a function whose body is one hand-built GEP from a pointer to
+/// a {i32, i64} struct (or to an i32 when \p ScalarSource) along the path
+/// \p Path(M, VarIdx) gives, where VarIdx is an i32 argument.
+std::vector<std::string>
+verifyGEPPath(bool ScalarSource,
+              const std::function<std::vector<Value *>(Module &, Value *)>
+                  &Path) {
+  Module M;
+  TypeContext &Ctx = M.ctx();
+  StructType *Pair = Ctx.createStruct("struct.pair");
+  Pair->setBody({Ctx.i32(), Ctx.i64()}, {"a", "b"}, false);
+  Type *SourceTy = ScalarSource ? static_cast<Type *>(Ctx.i32()) : Pair;
+  Function *F = M.createFunction(
+      "f", Ctx.funcTy(Ctx.voidTy(), {Ctx.ptrTo(SourceTy), Ctx.i32()}));
+  BasicBlock *BB = F->createBlock("entry");
+  // Built directly: IRBuilder::gep computes the result type by walking
+  // the very path under test.
+  BB->append(std::make_unique<GEPInst>(Ctx.ptrTo(Ctx.i32()), SourceTy,
+                                       F->arg(0), Path(M, F->arg(1)), "g"));
+  IRBuilder B(M);
+  B.setInsertPoint(BB);
+  B.ret();
+  std::vector<std::string> Errors;
+  verifyFunction(*F, Errors);
+  return Errors;
+}
+
+::testing::AssertionResult reports(const std::vector<std::string> &Errors,
+                                   const std::string &Text) {
+  for (const auto &E : Errors)
+    if (E.find(Text) != std::string::npos)
+      return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "no diagnostic mentions '" << Text << "'; got "
+         << (Errors.empty() ? "none (accepted)" : Errors[0]);
+}
+
+TEST(Verifier, CatchesMalformedGEPPaths) {
+  // Well formed: field 1 of element 0.
+  EXPECT_TRUE(verifyGEPPath(false, [](Module &M, Value *) {
+                return std::vector<Value *>{M.constI64(0), M.constI32(1)};
+              }).empty());
+
+  // A struct step whose field number is a run-time value.
+  EXPECT_TRUE(reports(verifyGEPPath(false,
+                                    [](Module &M, Value *Var) {
+                                      return std::vector<Value *>{
+                                          M.constI64(0), Var};
+                                    }),
+                      "gep index 1 is not a constant field number"));
+
+  // Field numbers outside [0, numFields).
+  for (int64_t Field : {2, -1})
+    EXPECT_TRUE(reports(verifyGEPPath(false,
+                                      [Field](Module &M, Value *) {
+                                        return std::vector<Value *>{
+                                            M.constI64(0), M.constI32(Field)};
+                                      }),
+                        "gep index 1 is not a constant field number"))
+        << "field " << Field;
+
+  // A step into a scalar.
+  EXPECT_TRUE(reports(verifyGEPPath(true,
+                                    [](Module &M, Value *) {
+                                      return std::vector<Value *>{
+                                          M.constI64(0), M.constI64(0)};
+                                    }),
+                      "gep index 1 steps into non-aggregate type i32"));
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,13 +13,17 @@
 ///     checkopt knobs, malformed-spec diagnostics),
 ///   * the SafeElision sub-pass surfaced through checkopt(safe),
 ///     including the §6.5 CCured-like spec and its sub-object trade-off,
-///   * per-pass timing records in PipelineStats.
+///   * per-pass timing records in PipelineStats,
+///   * deep CFGs building on a small stack (no recursive CFG or
+///     dominator-tree walk).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
 
 #include <gtest/gtest.h>
+
+#include <pthread.h>
 
 using namespace softbound;
 
@@ -328,6 +332,53 @@ TEST(PipelineTimings, EveryPassIsRecordedInOrder) {
   for (const auto &T : Prog.Pipeline.Passes)
     EXPECT_GE(T.Millis, 0.0);
   EXPECT_GE(Prog.Pipeline.totalMillis(), 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Deep CFGs
+//===----------------------------------------------------------------------===//
+
+struct DeepBuild {
+  std::string Spec;
+  int Ifs = 0;
+  bool Ok = false;
+  std::string Errors;
+};
+
+void *buildIfChain(void *P) {
+  auto *D = static_cast<DeepBuild *>(P);
+  std::string Src = "int g;\nint a[8];\nint main() {\n  int s = 0;\n";
+  for (int I = 0; I < D->Ifs; ++I)
+    Src += "  if (g > " + std::to_string(I) + ") { s = s + a[" +
+           std::to_string(I % 8) + "]; }\n";
+  Src += "  return s;\n}\n";
+  PipelinePlan Plan;
+  Plan.frontend(Src);
+  if (!Plan.appendSpec(D->Spec, &D->Errors))
+    return nullptr;
+  PipelineResult R = Plan.build();
+  D->Ok = R.ok();
+  D->Errors = R.errorText();
+  return nullptr;
+}
+
+TEST(DeepCFG, IfChainBuildsOnASmallStack) {
+  // A chain of N ifs nests the dominator tree N joins deep and the CFG's
+  // depth-first walk 2N blocks deep. Every walk over either must be
+  // iterative: 800 ifs overflow a 128 KB stack under any recursive one.
+  for (const char *Spec : {"optimize,softbound,checkopt",
+                           "softbound,checkopt(redundant)",
+                           "softbound,checkopt(interproc)"}) {
+    DeepBuild D{Spec, 800};
+    pthread_attr_t Attr;
+    ASSERT_EQ(pthread_attr_init(&Attr), 0);
+    ASSERT_EQ(pthread_attr_setstacksize(&Attr, 128 * 1024), 0);
+    pthread_t T;
+    ASSERT_EQ(pthread_create(&T, &Attr, buildIfChain, &D), 0);
+    pthread_join(T, nullptr);
+    pthread_attr_destroy(&Attr);
+    EXPECT_TRUE(D.Ok) << Spec << ": " << D.Errors;
+  }
 }
 
 } // namespace
