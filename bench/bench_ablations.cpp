@@ -21,7 +21,7 @@
 ///
 /// Flags:
 ///   --pipeline <spec>  run only the given pipeline spec (e.g.
-///                      "optimize,softbound,checkopt(range,hoist)") over
+///                      "optimize,softbound,checkopt(hoist,interproc)") over
 ///                      the counted-loop kernels and print its stats —
 ///                      ablation-by-string for scripts and CI smoke tests.
 ///   --list-passes      print the pass table and exit.
@@ -84,17 +84,13 @@ struct SpecConfig {
 };
 const SpecConfig SpecConfigs[] = {
     {"off", "optimize,softbound,checkopt(none)"},
-    {"+dominated", "optimize,softbound,checkopt(redundant)"},
-    {"+range", "optimize,softbound,checkopt(range)"},
     {"+hoist", "optimize,softbound,checkopt(hoist)"},
     {"+runtime-limit", "optimize,softbound,checkopt(hoist,runtime-limit)"},
     {"+interproc", "optimize,softbound,checkopt(interproc)"},
     {"+partition", "optimize,softbound,checkopt(partition)"},
-    {"intra", "optimize,softbound,checkopt(redundant,range,hoist)"},
-    {"no-rt", "optimize,softbound,checkopt(redundant,range,hoist,interproc)"},
+    {"no-rt", "optimize,softbound,checkopt(hoist,interproc)"},
     {"no-partition",
-     "optimize,softbound,checkopt(redundant,range,hoist,runtime-limit,"
-     "interproc)"},
+     "optimize,softbound,checkopt(hoist,runtime-limit,interproc)"},
     {"all", "optimize,softbound,checkopt"},
 };
 
@@ -155,8 +151,8 @@ void runCheckOptAblation(const std::string &JsonPath) {
     const Workload &Wl = mustFindWorkload(Name);
     std::printf("  %s:\n", Name);
     TablePrinter T({"config", "static checks", "elim %", "dyn checks",
-                    "meta ops", "cycles", "hoisted", "rt-hulls", "dom",
-                    "range", "interproc", "proven"});
+                    "meta ops", "cycles", "hoisted", "rt-hulls",
+                    "interproc", "proven"});
     W.key(Name);
     W.beginObject();
     for (const auto &K : SpecConfigs) {
@@ -171,8 +167,6 @@ void runCheckOptAblation(const std::string &JsonPath) {
                 std::to_string(M.R.Counters.Cycles),
                 std::to_string(S.LoopChecksHoisted),
                 std::to_string(S.RuntimeHullChecks),
-                std::to_string(S.DominatedEliminated),
-                std::to_string(S.RangeEliminated),
                 std::to_string(S.InterProcChecksElided),
                 std::to_string(S.PartitionProven)});
       W.key(K.Name);
@@ -187,8 +181,6 @@ void runCheckOptAblation(const std::string &JsonPath) {
       W.kv("runtime_fallbacks", S.RuntimeGuardedFallbacks);
       W.kv("runtime_discharged", S.RuntimeGuardsDischarged);
       W.kv("check_guards", M.R.Counters.CheckGuards);
-      W.kv("dominated", S.DominatedEliminated);
-      W.kv("range", S.RangeEliminated);
       W.kv("interproc", S.InterProcChecksElided);
       W.kv("interproc_callee", S.InterProcCalleeElided);
       W.kv("interproc_caller", S.InterProcCallerElided);

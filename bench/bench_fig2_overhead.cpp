@@ -243,8 +243,6 @@ void writeJson(const std::vector<WorkloadNumbers> &All, bool Profile,
     W.beginObject();
     W.kv("static_before", N.CheckOpt.ChecksBefore);
     W.kv("static_after", N.CheckOpt.ChecksAfter);
-    W.kv("dominated", N.CheckOpt.DominatedEliminated);
-    W.kv("range", N.CheckOpt.RangeEliminated);
     W.kv("hoisted", N.CheckOpt.LoopChecksHoisted);
     W.kv("interproc", N.CheckOpt.InterProcChecksElided);
     W.kv("interproc_callee", N.CheckOpt.InterProcCalleeElided);

@@ -43,8 +43,7 @@ template <CheckMode Mode> KnobRow checkMode(const char *Name) {
 }
 
 bool anySubPass(const CheckOptConfig &C) {
-  return C.EliminateDominated || C.RangeSubsumption || C.HoistLoopChecks ||
-         C.InterProc || C.Partition || C.ElideSafeChecks;
+  return C.HoistLoopChecks || C.InterProc || C.Partition || C.ElideSafeChecks;
 }
 
 } // namespace
@@ -59,19 +58,15 @@ const std::vector<PassRow> &softbound::passTable() {
   static const std::vector<PassRow> Table = {
       {PassKind::CheckOpt,
        "checkopt",
-       "static check optimization: dominance RCE, range subsumption, "
-       "loop-hull hoisting (with runtime-limit hulls), inter-procedural "
-       "bounds propagation, checked-region partitioning, optional "
-       "CCured-SAFE elision",
+       "static check optimization: loop-hull hoisting (with runtime-limit "
+       "hulls), inter-procedural bounds propagation with dominance RCE, "
+       "checked-region partitioning, optional CCured-SAFE elision",
        [](PipelineStep &S) {
          CheckOptConfig &C = S.CheckOpt;
-         C.EliminateDominated = C.RangeSubsumption = C.HoistLoopChecks =
-             C.RuntimeLimitHulls = C.InterProc = C.Partition =
-                 C.ElideSafeChecks = false;
+         C.HoistLoopChecks = C.RuntimeLimitHulls = false;
+         C.InterProc = C.Partition = C.ElideSafeChecks = false;
        },
-       {subPass<&CheckOptConfig::EliminateDominated>("redundant"),
-        subPass<&CheckOptConfig::RangeSubsumption>("range"),
-        subPass<&CheckOptConfig::HoistLoopChecks>("hoist"),
+       {subPass<&CheckOptConfig::HoistLoopChecks>("hoist"),
         {"runtime-limit", false,
          [](PipelineStep &S) {
            S.CheckOpt.HoistLoopChecks = S.CheckOpt.RuntimeLimitHulls = true;

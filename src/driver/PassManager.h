@@ -20,7 +20,7 @@
 ///                     .checkOpt(CCfg).build()
 ///
 ///     plus a textual spec parser/printer
-///     ("optimize,softbound,checkopt(range,redundant,hoist)") with
+///     ("optimize,softbound,checkopt(hoist,interproc)") with
 ///     round-trip canonicalization via spec().
 ///   * PipelineStats — everything build() measured: transformation and
 ///     check-optimization counters and per-pass wall-clock timings.
@@ -154,7 +154,7 @@ public:
   PipelinePlan &checkOpt(CheckOptConfig Cfg = {});   ///< "checkopt"
 
   /// Parses a comma-separated pipeline spec — e.g.
-  /// "optimize,softbound,checkopt(range,redundant,hoist)" — and appends
+  /// "optimize,softbound,checkopt(hoist,interproc)" — and appends
   /// the passes. On any error the plan is left unchanged, \p ErrOut (when
   /// non-null) receives the diagnostic, and false is returned.
   bool appendSpec(const std::string &Spec, std::string *ErrOut = nullptr);

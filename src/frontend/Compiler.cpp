@@ -13,6 +13,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <vector>
 
 using namespace softbound;
 
@@ -815,23 +816,36 @@ void Parser::parseStatement() {
   }
 
   if (accept(Tok::KwIf)) {
-    expect(Tok::LParen, "(");
-    Value *Cond = toBool(rvalue(parseExpr()));
-    expect(Tok::RParen, ")");
-    BasicBlock *Then = CurFn->createBlock("if.then");
-    BasicBlock *Else = CurFn->createBlock("if.else");
-    BasicBlock *Merge = CurFn->createBlock("if.end");
-    B.condBr(Cond, Then, Else);
-    B.setInsertPoint(Then);
-    parseStatement();
-    if (!B.blockTerminated())
-      B.br(Merge);
-    B.setInsertPoint(Else);
-    if (accept(Tok::KwElse))
+    // An `else if` chain is read in a loop, so a long chain cannot
+    // overflow the host stack. Each link's if.end waits on Pending until
+    // the chain's last else closes; the if.ends are then joined innermost
+    // first.
+    std::vector<BasicBlock *> Pending;
+    while (true) {
+      expect(Tok::LParen, "(");
+      Value *Cond = toBool(rvalue(parseExpr()));
+      expect(Tok::RParen, ")");
+      BasicBlock *Then = CurFn->createBlock("if.then");
+      BasicBlock *Else = CurFn->createBlock("if.else");
+      Pending.push_back(CurFn->createBlock("if.end"));
+      B.condBr(Cond, Then, Else);
+      B.setInsertPoint(Then);
       parseStatement();
-    if (!B.blockTerminated())
-      B.br(Merge);
-    B.setInsertPoint(Merge);
+      if (!B.blockTerminated())
+        B.br(Pending.back());
+      B.setInsertPoint(Else);
+      if (!accept(Tok::KwElse))
+        break;
+      if (!accept(Tok::KwIf)) {
+        parseStatement();
+        break;
+      }
+    }
+    for (auto It = Pending.rbegin(); It != Pending.rend(); ++It) {
+      if (!B.blockTerminated())
+        B.br(*It);
+      B.setInsertPoint(*It);
+    }
     return;
   }
 

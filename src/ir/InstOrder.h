@@ -9,7 +9,7 @@
 /// "does A execute before B within their shared block" queries. Combined
 /// with a block-level dominator tree this answers instruction-level
 /// dominance questions — the query the check optimizer asks about pairs of
-/// spatial-check instructions (see opt/checks/CheckOpt.h::instDominates).
+/// spatial-check instructions (see opt/Dominators.h::instDominates).
 ///
 //===----------------------------------------------------------------------===//
 

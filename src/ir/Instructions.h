@@ -477,7 +477,7 @@ public:
 /// check survives as the fallback guarded by the window's complement.
 /// Guarded checks are second-class for every static analysis — they must
 /// never source facts or summaries, because nothing guarantees they
-/// executed (see RedundantChecks.cpp / InterProc.cpp).
+/// executed (see opt/checks/InterProc.cpp and eliminateRedundantChecks).
 class SpatialCheckInst : public Instruction {
 public:
   SpatialCheckInst(Type *VoidTy, Value *Ptr, Value *Bounds,

@@ -6,6 +6,8 @@
 
 #include "opt/Dominators.h"
 
+#include "ir/InstOrder.h"
+
 #include <algorithm>
 
 using namespace softbound;
@@ -108,4 +110,13 @@ bool DomTree::dominates(BasicBlock *A, BasicBlock *B) const {
     B = It == IDom.end() ? nullptr : It->second;
   }
   return false;
+}
+
+bool softbound::instDominates(const DomTree &DT, const InstOrder &Ord,
+                              const Instruction *A, const Instruction *B) {
+  if (A == B)
+    return false;
+  if (A->parent() == B->parent())
+    return Ord.precedes(A, B);
+  return DT.dominates(A->parent(), B->parent());
 }

@@ -7,7 +7,8 @@
 /// \file
 /// Dominator tree (Cooper–Harvey–Kennedy iterative algorithm) and dominance
 /// frontiers, used by mem2reg for SSA construction, plus the one
-/// dominator-tree walk every scoped analysis runs (DomTree::walk).
+/// dominator-tree walk every scoped analysis runs (DomTree::walk) and the
+/// instruction-level dominance query built on it (instDominates).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,8 @@
 #include <vector>
 
 namespace softbound {
+
+class InstOrder;
 
 /// Dominator information for one function.
 class DomTree {
@@ -100,6 +103,12 @@ private:
   std::map<BasicBlock *, int> Order; ///< RPO index.
   std::vector<BasicBlock *> RPO;
 };
+
+/// Instruction-level dominance: true when \p A executes before \p B on
+/// every path reaching \p B (strict; an instruction does not dominate
+/// itself). \p DT and \p Ord must be current for the containing function.
+bool instDominates(const DomTree &DT, const InstOrder &Ord,
+                   const Instruction *A, const Instruction *B);
 
 } // namespace softbound
 

@@ -16,16 +16,6 @@
 
 using namespace softbound;
 
-namespace softbound {
-namespace checkopt {
-
-// Sub-pass entry point (RedundantChecks.cpp).
-void eliminateRedundantSpatialChecks(Function &F, const CheckOptConfig &Cfg,
-                                     CheckOptStats &Stats);
-
-} // namespace checkopt
-} // namespace softbound
-
 namespace {
 
 unsigned countSpatialChecks(const Function &F) {
@@ -39,83 +29,57 @@ unsigned countSpatialChecks(const Function &F) {
 
 } // namespace
 
-namespace {
-
-/// Shared body of the function- and module-level drivers. \p ArgRanges
-/// (optional) feeds the runtime-limit hull hoister's static guard
-/// discharge; \p DischargeUsed reports whether any discharge leaned on it.
-void optimizeChecksImpl(Function &F, const CheckOptConfig &Cfg,
-                        CheckOptStats &Stats,
-                        const std::map<const Argument *, checkopt::IntRange>
-                            *ArgRanges,
-                        bool *DischargeUsed) {
-  if (!Cfg.Enable || !F.isDefinition())
-    return;
-  Stats.ChecksBefore += countSpatialChecks(F);
-
-  // CCured-SAFE elision first (opt-in): checks it deletes are statically
-  // settled, so the later sub-passes need not reason about them at all.
-  if (Cfg.ElideSafeChecks)
-    checkopt::elideSafeChecks(F, Stats);
-
-  // Hoist before eliminating: the hull checks it plants in preheaders
-  // become dominating facts that the elimination walk can use to subsume
-  // checks in later loops over the same object.
-  if (Cfg.HoistLoopChecks) {
-    checkopt::hoistLoopChecks(F, Stats, Cfg, ArgRanges, DischargeUsed);
-    // Identical hull pointers materialized for several checks of the same
-    // loop collapse here, letting exact-fact elimination dedup their checks.
-    localCSE(F);
-  }
-  if (Cfg.EliminateDominated || Cfg.RangeSubsumption)
-    checkopt::eliminateRedundantSpatialChecks(F, Cfg, Stats);
-
-  // Deleted checks strand their bounds/GEP arithmetic; sweep it.
-  dce(F);
-
-  Stats.ChecksAfter += countSpatialChecks(F);
-}
-
-} // namespace
-
-void softbound::optimizeChecks(Function &F, const CheckOptConfig &Cfg,
-                               CheckOptStats &Stats) {
-  optimizeChecksImpl(F, Cfg, Stats, nullptr, nullptr);
-}
-
 CheckOptStats softbound::optimizeChecks(Module &M, const CheckOptConfig &Cfg) {
   CheckOptStats Stats;
+  if (!Cfg.Enable)
+    return Stats;
   // Top-down argument ranges let the runtime-limit hoister discharge its
   // trip/wrap guards statically. They lean on the closed-module
   // assumption, so any use is recorded as an entry contract below —
-  // exactly as checkopt(interproc) records its own deletions. Module
-  // driver only: the ranges need every call site.
+  // exactly as checkopt(interproc) records its own deletions.
   checkopt::InterProcArgRanges IPR;
   const std::map<const Argument *, checkopt::IntRange> *Ranges = nullptr;
   bool DischargeUsed = false;
-  if (Cfg.Enable && Cfg.HoistLoopChecks && Cfg.RuntimeLimitHulls &&
-      Cfg.InterProc) {
+  if (Cfg.HoistLoopChecks && Cfg.RuntimeLimitHulls && Cfg.InterProc) {
     IPR = checkopt::computeInterProcArgRanges(M);
     Ranges = &IPR.Ranges;
   }
-  for (const auto &F : M.functions())
-    optimizeChecksImpl(*F, Cfg, Stats, Ranges, &DischargeUsed);
+  for (const auto &FP : M.functions()) {
+    Function &F = *FP;
+    if (!F.isDefinition())
+      continue;
+    Stats.ChecksBefore += countSpatialChecks(F);
+    // CCured-SAFE elision first (opt-in): checks it deletes are statically
+    // settled, so the later sub-passes need not reason about them at all.
+    if (Cfg.ElideSafeChecks)
+      checkopt::elideSafeChecks(F, Stats);
+    if (Cfg.HoistLoopChecks) {
+      checkopt::hoistLoopChecks(F, Stats, Cfg, Ranges, &DischargeUsed);
+      // Several hull checks of one loop can materialize the same hull
+      // arithmetic (the same i8 view of the root, the same K*L + C
+      // offset); fold the copies before DCE sweeps what they strand.
+      localCSE(F);
+    }
+    // Deleted checks strand their bounds/GEP arithmetic; sweep it.
+    dce(F);
+    Stats.ChecksAfter += countSpatialChecks(F);
+  }
   if (DischargeUsed)
     M.recordInterProcContract(IPR.Internal);
   // Inter-procedural propagation runs after the per-function passes so
-  // hoisted hull checks and surviving dominating checks serve as call-site
-  // facts; it needs every call site, so only the module driver can run it.
+  // hoisted hull checks and surviving dominating checks serve as facts;
+  // its fact walk also deletes every check a dominating fact covers.
   // When the hoister already computed the argument-range fixpoint above,
   // the propagation adopts it instead of repeating the most expensive
   // phase (the per-function passes never change a call argument's value).
-  if (Cfg.Enable && Cfg.InterProc) {
+  if (Cfg.InterProc) {
     unsigned Deleted = checkopt::propagateInterProcChecks(M, Stats, Ranges);
     Stats.ChecksAfter -= std::min(Deleted, Stats.ChecksAfter);
   }
   // Partitioning runs last: it can only prove a function once every other
   // sub-pass has discharged its checks, and it never creates or removes a
   // check itself — it converts check elision into metadata-op elision.
-  if (Cfg.Enable && Cfg.Partition)
+  if (Cfg.Partition)
     checkopt::partitionCheckedRegions(M, Stats);
   return Stats;
 }

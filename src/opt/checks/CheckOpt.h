@@ -6,54 +6,52 @@
 ///
 /// \file
 /// The static check-optimization subsystem that runs after the SoftBound
-/// transformation and before VM execution. It implements the §6.1 claim
-/// that re-running the optimizers removes most redundant bounds checks,
-/// with three cooperating sub-passes (each independently toggleable):
+/// transformation and before VM execution. The §6.1 re-optimization
+/// itself (block-local redundant-check elimination) belongs to the
+/// SoftBound pass (opt/Passes.h eliminateRedundantChecks); this subsystem
+/// goes past it with four sub-passes, each independently toggleable:
 ///
-///   1. Value-range analysis (RangeAnalysis.h): pointers are decomposed
-///      into an SSA root plus a constant byte offset, and a scoped table
-///      of proven-in-bounds byte intervals per (root, bounds) pair is
-///      carried down the dominator tree.
-///   2. Dominance-based redundant-check elimination (RedundantChecks.cpp):
-///      a spatial check dominated by an equal-or-stronger check on the
-///      same pointer — or, with range subsumption, on any pointer whose
-///      proven interval covers it — is deleted. Checks consume only SSA
-///      values (the pointer and its bounds), so no call or store can
-///      invalidate an established fact; this generalizes the paper's
-///      "monotonically increasing pointer" example beyond single blocks.
-///   3. Loop-invariant check hoisting with range widening (LoopHoist.cpp):
+///   1. Loop-invariant check hoisting with range widening (LoopHoist.cpp):
 ///      in counted loops, per-iteration checks on loop-invariant pointers
 ///      collapse to one pre-loop check, and checks on `base[affine(iv)]`
 ///      are replaced by checks at the two endpoints of the access range's
 ///      convex hull (à la CHOP), turning O(trip-count) dynamic checks
-///      into O(1).
+///      into O(1). Loops counted by run-time bounds get hulls behind a
+///      region guard, with the in-loop check kept as the fallback.
+///   2. Inter-procedural bounds propagation (InterProc.h, module-level):
+///      a call-graph pass that elides callee-side checks every direct
+///      call site already proves, turns callee-guaranteed checks into
+///      caller-side facts, and settles global-array checks whose
+///      argument-propagated index range stays inside the object. Its
+///      scoped fact walk down the dominator tree is also the subsystem's
+///      dominance-based redundant-check elimination: a check whose bytes
+///      a dominating check on the same root and bounds already proved
+///      is deleted, guarded checks included.
+///   3. Checked-region partitioning (Partition.h, module-level): after
+///      every other sub-pass has run, classify each function fully-proven
+///      (no checks left, no escaping metadata obligations) or
+///      instrumented, and strip metadata propagation from the
+///      fully-proven ones — the CheckedCBox-style checked/unchecked
+///      region split. On by default, left off by explicit knob lists
+///      (the A/B convention).
 ///   4. CCured-SAFE check elision (SafeElision.cpp, off by default): a
 ///      check whose pointer is an all-constant, per-index-validated GEP
 ///      chain into a known-size stack or global object, with the access
 ///      contained in the object, is deleted outright — the §6.5 CCured
 ///      comparison knob (`checkopt(safe)` in pipeline specs).
-///   5. Inter-procedural bounds propagation (InterProc.h, module-level):
-///      a call-graph pass that elides callee-side checks every direct
-///      call site already proves, turns callee-guaranteed checks into
-///      caller-side facts, and settles global-array checks whose
-///      argument-propagated index range stays inside the object. Only
-///      reachable from the Module-level driver (it needs every call
-///      site); the per-function overload ignores the knob.
-///   6. Checked-region partitioning (Partition.h, module-level): after
-///      every other sub-pass has run, classify each function fully-proven
-///      (no checks left, no escaping metadata obligations) or
-///      instrumented, and strip metadata propagation from the
-///      fully-proven ones — the CheckedCBox-style checked/unchecked
-///      region split. Module-level only, on by default, left off by
-///      explicit knob lists (the A/B convention).
 ///
-/// Soundness contract: sub-passes 1-3 only ever *strengthen or move
+/// The pointer decompositions and scoped interval facts the sub-passes
+/// share live in RangeAnalysis.h.
+///
+/// Soundness contract: sub-passes 1-2 only ever *strengthen or move
 /// earlier* the set of conditions checked on any path — a program that
 /// would have trapped still traps (possibly at an earlier instruction),
 /// and a program that ran clean still runs clean. Every transformation is
 /// gated on static proofs (constant trip counts, single-exit loops, no
-/// in-loop control-flow escapes) described in LoopHoist.cpp. Sub-pass 4
-/// is the deliberate exception: its leading pointer-arithmetic step is
+/// in-loop control-flow escapes) described in LoopHoist.cpp and
+/// InterProc.cpp. Sub-pass 3 removes no check: it strips only metadata
+/// operations whose values no remaining check can consult. Sub-pass 4 is
+/// the deliberate exception: its leading pointer-arithmetic step is
 /// judged against the *whole* object, so a sub-object overflow reached
 /// through a derived field pointer plus constant arithmetic can lose its
 /// (field-shrunk) check — the CCured-SAFE trade-off §6.5 measures — and
@@ -68,20 +66,10 @@
 
 namespace softbound {
 
-class DomTree;
-class InstOrder;
-
 /// Per-sub-pass toggles (ablation knobs).
 struct CheckOptConfig {
   /// Master switch for the whole subsystem.
   bool Enable = true;
-  /// Delete checks dominated by an equal-or-stronger check on the same
-  /// pointer SSA value.
-  bool EliminateDominated = true;
-  /// Use value-range analysis to also delete checks covered by dominating
-  /// checks on *different* pointers into the same object (constant-offset
-  /// subsumption with interval merging).
-  bool RangeSubsumption = true;
   /// Hoist loop-invariant and affine-indexed checks out of counted loops.
   bool HoistLoopChecks = true;
   /// Extend hull hoisting to loops counted by loop-invariant *symbolic*
@@ -96,14 +84,14 @@ struct CheckOptConfig {
   bool RuntimeLimitHulls = true;
   /// Inter-procedural bounds propagation (opt/checks/InterProc.h): elide
   /// callee checks proven at every call site, reuse callee-guaranteed
-  /// checks as caller facts, and settle global-array checks via
-  /// inter-procedural integer ranges. Module-level only.
+  /// checks as caller facts, delete checks covered by dominating facts,
+  /// and settle global-array checks via inter-procedural integer ranges.
   bool InterProc = true;
   /// Checked-region partitioning (opt/checks/Partition.h): classify each
   /// function as fully-proven or instrumented after the other sub-passes
   /// have run, and strip metadata propagation (meta.load/meta.store) from
-  /// the fully-proven ones. Module-level only; leans on the closed-module
-  /// contract like InterProc.
+  /// the fully-proven ones. Leans on the closed-module contract like
+  /// InterProc.
   bool Partition = true;
   /// CCured-SAFE elision (§6.5 modeling knob): delete checks statically
   /// proven inside their *whole* base object. Off by default — it gives up
@@ -126,9 +114,6 @@ struct PartitionVerdict {
 struct CheckOptStats {
   unsigned ChecksBefore = 0;   ///< Static spatial checks entering the pass.
   unsigned ChecksAfter = 0;    ///< Static spatial checks remaining.
-  unsigned DominatedEliminated = 0; ///< Same-pointer dominance deletions.
-  unsigned RangeEliminated = 0;     ///< Range-subsumption deletions.
-  unsigned FuncPtrEliminated = 0;   ///< Duplicate function-pointer checks.
   unsigned SafeChecksElided = 0;    ///< CCured-SAFE static elisions.
   unsigned LoopChecksHoisted = 0;   ///< In-loop checks replaced/deleted.
   unsigned HoistedChecksInserted = 0; ///< Pre-loop hull checks added.
@@ -173,9 +158,6 @@ struct CheckOptStats {
   CheckOptStats &operator+=(const CheckOptStats &O) {
     ChecksBefore += O.ChecksBefore;
     ChecksAfter += O.ChecksAfter;
-    DominatedEliminated += O.DominatedEliminated;
-    RangeEliminated += O.RangeEliminated;
-    FuncPtrEliminated += O.FuncPtrEliminated;
     SafeChecksElided += O.SafeChecksElided;
     LoopChecksHoisted += O.LoopChecksHoisted;
     HoistedChecksInserted += O.HoistedChecksInserted;
@@ -205,20 +187,11 @@ struct CheckOptStats {
   }
 };
 
-/// Runs the configured sub-passes over one function, accumulating into
-/// \p Stats. The function must be verifier-clean; it stays verifier-clean.
-void optimizeChecks(Function &F, const CheckOptConfig &Cfg,
-                    CheckOptStats &Stats);
-
-/// Module-wide driver (hoist, then eliminate, then DCE the dead bounds
-/// arithmetic the deletions exposed).
+/// Runs the configured sub-passes over the module: per function SAFE
+/// elision and hoisting, then inter-procedural propagation, then
+/// partitioning. The module must be verifier-clean; it stays
+/// verifier-clean.
 CheckOptStats optimizeChecks(Module &M, const CheckOptConfig &Cfg = {});
-
-/// Instruction-level dominance: true when \p A executes before \p B on
-/// every path reaching \p B (strict; an instruction does not dominate
-/// itself). \p DT and \p Ord must be current for the containing function.
-bool instDominates(const DomTree &DT, const InstOrder &Ord,
-                   const Instruction *A, const Instruction *B);
 
 namespace checkopt {
 

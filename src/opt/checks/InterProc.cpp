@@ -63,14 +63,6 @@ using namespace softbound::checkopt;
 
 namespace {
 
-int64_t sat(__int128 V) {
-  if (V < INT64_MIN)
-    return INT64_MIN;
-  if (V > INT64_MAX)
-    return INT64_MAX;
-  return static_cast<int64_t>(V);
-}
-
 /// True when \p V lies outside the i64 lattice domain. A transfer whose
 /// exact endpoint escapes must collapse to IntRange::full(), never
 /// saturate: the VM wraps 64-bit arithmetic, so the runtime value lands
@@ -1021,6 +1013,16 @@ void Engine::visitCheck(FuncInfo &FI, ScopedFacts<FactKey> &Env,
   bool ExactEnd = !escapesI64(End128);
   int64_t End = ExactEnd ? static_cast<int64_t>(End128) : INT64_MAX;
 
+  // A guarded check (a runtime-limit hull or its in-loop fallback) may be
+  // skipped at run time, so it proves nothing and is never sunk or
+  // settled by range; its guard belongs to the hoister that emitted it.
+  // Deleting it is still sound when a dominating fact covers its bytes.
+  if (C->isGuarded()) {
+    if (ExactEnd && Env.covers(Key, L.Base, End))
+      mark(C, Reason::Caller);
+    return;
+  }
+
   // 1. Static range proof against whole-object global bounds.
   if (auto *G = dyn_cast<GlobalVariable>(L.Root);
       G && wholeGlobal(CB) == G) {
@@ -1118,13 +1120,8 @@ void Engine::walkBlockBody(FuncInfo &FI, ScopedFacts<FactKey> &Env,
                            BasicBlock *BB) {
   for (auto It = BB->begin(); It != BB->end(); ++It) {
     Instruction *I = It->get();
-    if (auto *C = dyn_cast<SpatialCheckInst>(I)) {
-      // Guarded checks (runtime-limit hulls and their in-loop fallbacks)
-      // are invisible to the inter-procedural propagation: they may not
-      // have executed, so they prove nothing, and their conditions are
-      // managed entirely by the hoister that emitted them.
-      if (!C->isGuarded())
-        visitCheck(FI, Env, BB, It);
+    if (isa<SpatialCheckInst>(I)) {
+      visitCheck(FI, Env, BB, It);
       continue;
     }
     if (auto *Call = dyn_cast<CallInst>(I)) {

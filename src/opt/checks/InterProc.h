@@ -39,6 +39,12 @@
 ///      — `hist[(x + y + h) % 64]` in a tree walk needs no dynamic check
 ///      once `x, y, h >= 0` has propagated into the recursion.
 ///
+/// Within one function the same fact walk is the subsystem's
+/// dominance-based redundant-check elimination: a check whose bytes a
+/// dominating check on the same root and bounds already proved is
+/// deleted. That includes guarded checks (runtime-limit hulls and their
+/// fallbacks), which are deleted when covered but never become facts.
+///
 /// Soundness. Every deletion is justified by one of: (a) the check's
 /// condition is statically true (range propagation over whole-object
 /// bounds — shrunk sub-object bounds never canonicalize to their global,

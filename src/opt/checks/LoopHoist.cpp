@@ -96,11 +96,11 @@
 ///      (addr < base) surfaces at the low corner, an overflow
 ///      (addr + size > bound) at the high one.
 ///
-/// Guarded checks are invisible to the other static passes (they may not
-/// execute, so they prove nothing — see RedundantChecks.cpp and
-/// InterProc.cpp); only this pass, which owns their guards, re-hoists
-/// them out of enclosing loops. Re-hoisting moves the guard computation
-/// and hull address chain (pure, non-trapping instructions over
+/// Guarded checks are invisible to the other static passes as facts (they
+/// may not execute, so they prove nothing — see InterProc.cpp and
+/// eliminateRedundantChecks); only this pass, which owns their guards,
+/// re-hoists them out of enclosing loops. Re-hoisting moves the guard
+/// computation and hull address chain (pure, non-trapping instructions over
 /// enclosing-invariant leaves) into the enclosing preheader, so nests of
 /// any depth still collapse to O(1) checks; hoisting out of an enclosing
 /// *symbolic* loop conjoins that loop's exact trip test (trip false <=>

@@ -39,7 +39,7 @@ namespace checkopt {
 ///    clean and keeps its exact observable behaviour.
 ///  * Checks it emits with an i1 guard operand may be skipped at run
 ///    time; they are valid *fact sources for no other pass* (see the
-///    guarded-check rules in RedundantChecks.cpp / InterProc.cpp).
+///    guarded-check rules in InterProc.cpp / eliminateRedundantChecks).
 ///  * \p ArgRanges (optional) must be a computeInterProcArgRanges()
 ///    result for the enclosing module that is still current — i.e. no
 ///    pass has changed any call argument's value since it was computed.

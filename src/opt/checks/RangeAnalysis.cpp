@@ -21,26 +21,7 @@ namespace {
 /// wrap.
 constexpr int64_t MaxDecomposedOffset = int64_t(1) << 40;
 
-/// Acc += Idx * Scale with exact arithmetic; false on blow-up.
-bool accumulate(__int128 &Acc, int64_t Idx, int64_t Scale) {
-  Acc += __int128(Idx) * Scale;
-  return Acc >= -__int128(MaxDecomposedOffset) &&
-         Acc <= __int128(MaxDecomposedOffset);
-}
-
 } // namespace
-
-bool checkopt::constantGEPOffset(const GEPInst *G, int64_t &OutBytes) {
-  __int128 Off = 0;
-  if (!G->walkLayout([&](const GEPStep &S) {
-        auto *CI = dyn_cast<ConstantInt>(S.Index);
-        return CI && accumulate(Off, S.isField() ? 1 : CI->value(),
-                                static_cast<int64_t>(S.Bytes));
-      }))
-    return false;
-  OutBytes = static_cast<int64_t>(Off);
-  return true;
-}
 
 const Value *checkopt::safeConstantRoot(const Value *P, uint64_t &Offset) {
   Offset = 0;
@@ -67,31 +48,6 @@ const Value *checkopt::safeConstantRoot(const Value *P, uint64_t &Offset) {
     P = G->pointer();
   }
   return nullptr;
-}
-
-PtrOffset checkopt::decomposePointer(Value *P) {
-  PtrOffset Out;
-  Out.Root = P;
-  // Bounded walk: derivation chains are short, but guard against cycles in
-  // malformed IR.
-  for (int Depth = 0; Depth < 64; ++Depth) {
-    if (auto *BC = dyn_cast<CastInst>(Out.Root);
-        BC && BC->opcode() == CastInst::Op::Bitcast) {
-      Out.Root = BC->source();
-      continue;
-    }
-    if (auto *G = dyn_cast<GEPInst>(Out.Root)) {
-      int64_t Off;
-      __int128 Acc = Out.Offset;
-      if (constantGEPOffset(G, Off) && accumulate(Acc, Off, 1)) {
-        Out.Offset = static_cast<int64_t>(Acc);
-        Out.Root = G->pointer();
-        continue;
-      }
-    }
-    break;
-  }
-  return Out;
 }
 
 Value *checkopt::stripSExt(Value *V) {

@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The value-range analysis underneath the check optimizer. Pointer SSA
-/// values are decomposed into a *root* (the SSA value the pointer was
-/// derived from by bitcasts and constant-index GEPs) plus a constant byte
-/// offset. A spatial check `check(p, b, size)` then proves the symbolic
-/// fact "bytes [off, off+size) past root are inside [base(b), bound(b))",
-/// and those facts — keyed by (root, bounds) and held as merged interval
-/// sets — flow down the dominator tree: any later check whose interval is
-/// covered is statically redundant.
+/// The pointer decompositions and scoped interval facts the check
+/// optimizer's sub-passes share. A pointer SSA value is decomposed into a
+/// *root* (the SSA value it was derived from by bitcasts and GEPs) plus a
+/// byte offset that is constant or linear in one SSA index. A spatial
+/// check `check(p, b, size)` then proves the symbolic fact "bytes
+/// [off, off+size) past root are inside [base(b), bound(b))", and those
+/// facts — held as merged interval sets per key — flow down the
+/// dominator tree: any later check whose interval is covered is
+/// statically redundant (InterProc.cpp's fact walk).
 ///
 /// Facts never need invalidation: a check consumes only its two SSA
 /// operands, whose dynamic values no store, call, or metadata update can
@@ -32,16 +33,6 @@
 namespace softbound {
 namespace checkopt {
 
-/// A pointer expressed as a root SSA value plus a constant byte offset.
-struct PtrOffset {
-  Value *Root = nullptr;
-  int64_t Offset = 0;
-};
-
-/// Byte offset of a GEP whose indices are all constants. Returns false for
-/// variable indices or an offset past 2^40 bytes.
-bool constantGEPOffset(const GEPInst *G, int64_t &OutBytes);
-
 /// CCured-SAFE's constant-offset walk, shared by SafeElision's static
 /// proof and Partition's fresh-malloc slots: strips up to 16 bitcasts and
 /// GEPs off \p P whose indices are all non-negative constants, with every
@@ -50,15 +41,11 @@ bool constantGEPOffset(const GEPInst *G, int64_t &OutBytes);
 /// when a GEP breaks that rule or the chain is longer.
 const Value *safeConstantRoot(const Value *P, uint64_t &Offset);
 
-/// Strips bitcasts and constant-index GEPs off \p P, accumulating the byte
-/// offset. Always succeeds: the worst case is Root == P, Offset == 0.
-PtrOffset decomposePointer(Value *P);
-
 /// A pointer expressed as root + Base + Scale * Index bytes, where Index
-/// is a single SSA integer (null for purely constant offsets). This is the
-/// symbolic generalization of PtrOffset the inter-procedural propagation
-/// keys its facts on: two checks on `a[i]` prove the same bytes whenever
-/// their roots, scales, and index SSA values coincide.
+/// is a single SSA integer (null for purely constant offsets). The
+/// inter-procedural propagation keys its facts on it: two checks on
+/// `a[i]` prove the same bytes whenever their roots, scales, and index
+/// SSA values coincide.
 struct LinearPtr {
   Value *Root = nullptr;
   int64_t Base = 0;
@@ -73,8 +60,8 @@ Value *stripSExt(Value *V);
 /// Decomposes \p P as root + Base + Scale * Index, walking bitcasts and
 /// GEPs. At most one distinct variable index is folded in (repeated uses
 /// of the same SSA index accumulate into Scale); a second distinct
-/// variable stops the walk at the containing GEP's pointer. Always
-/// succeeds in the PtrOffset sense: worst case Root == P.
+/// variable stops the walk at the containing GEP's pointer, as does an
+/// offset past 2^40 bytes. Always succeeds: worst case Root == P.
 LinearPtr decomposeLinearPtr(Value *P);
 
 /// Half-open byte interval [Lo, Hi).

@@ -12,8 +12,9 @@
 ///     detected — the optimizer never removes a check that would have
 ///     fired — and correct programs keep their exact behaviour.
 ///   * Precision: deterministic elimination counts on the monotonic-loop
-///     and struct-field exemplars, hull placement for counted loops, and
-///     unit tests of the range analysis and instruction-dominance helper.
+///     and struct-field exemplars, hull placement for counted loops,
+///     InterProc's dominance walk over plain and guarded checks, and
+///     unit tests of the interval facts and instruction-dominance helper.
 ///
 /// Source-level builds go through the PipelinePlan API
 /// (driver/PassManager.h); spec-parser and wrapper-equivalence coverage
@@ -103,25 +104,6 @@ TEST(ScopedFacts, LeaveDropsInnerFacts) {
   EXPECT_FALSE(PR.covers(K, 0, 8));
 }
 
-TEST(RangeAnalysis, DecomposesConstantGEPChains) {
-  Module M;
-  TypeContext &Ctx = M.ctx();
-  auto *FTy = Ctx.funcTy(Ctx.voidTy(), {Ctx.ptrTo(Ctx.i64())});
-  Function *F = M.createFunction("probe", FTy);
-  BasicBlock *BB = F->createBlock("entry");
-  IRBuilder B(M);
-  B.setInsertPoint(BB);
-  Value *P = F->arg(0);
-  Value *G1 = B.gep(Ctx.i64(), P, {M.constI64(2)});   // +16 bytes
-  Value *BC = B.bitcast(G1, Ctx.ptrTo(Ctx.i8()));
-  Value *G2 = B.gep(Ctx.i8(), BC, {M.constI64(-4)});  // -4 bytes
-  B.ret();
-
-  checkopt::PtrOffset PO = checkopt::decomposePointer(G2);
-  EXPECT_EQ(PO.Root, P);
-  EXPECT_EQ(PO.Offset, 12);
-}
-
 //===----------------------------------------------------------------------===//
 // Instruction dominance helper
 //===----------------------------------------------------------------------===//
@@ -155,11 +137,12 @@ TEST(InstDominates, OrdersWithinAndAcrossBlocks) {
 }
 
 //===----------------------------------------------------------------------===//
-// Precision: dominance + range elimination on hand-built IR
+// Dominance RCE: InterProc's scoped fact walk on hand-built IR
 //===----------------------------------------------------------------------===//
 
-/// Builds `probe(i8* p)` with a diamond CFG and a configurable list of
-/// checks; returns the function.
+/// Builds `probe(i8* p, i64 n)` with a diamond CFG; the checks are added
+/// by each test. Guard is `n >= 1`, computed in the entry block, for the
+/// guarded (runtime-limit hull shaped) checks.
 struct DiamondFixture {
   Module M;
   Function *F = nullptr;
@@ -167,11 +150,12 @@ struct DiamondFixture {
              *Merge = nullptr;
   Value *P = nullptr;
   Value *Bounds = nullptr;
+  Value *Guard = nullptr;
 
   DiamondFixture() {
     TypeContext &Ctx = M.ctx();
-    F = M.createFunction("probe",
-                         Ctx.funcTy(Ctx.voidTy(), {Ctx.ptrTo(Ctx.i8())}));
+    F = M.createFunction(
+        "probe", Ctx.funcTy(Ctx.voidTy(), {Ctx.ptrTo(Ctx.i8()), Ctx.i64()}));
     Entry = F->createBlock("entry");
     Left = F->createBlock("left");
     Right = F->createBlock("right");
@@ -180,9 +164,11 @@ struct DiamondFixture {
     IRBuilder B(M);
     B.setInsertPoint(Entry);
     Bounds = B.makeBounds(M.constI64(0x1000), M.constI64(0x1040));
+    Guard = B.icmp(ICmpInst::Pred::SGE, F->arg(1), M.constI64(1));
   }
 
-  void finish() {
+  /// Closes the diamond and runs the default checkopt configuration.
+  CheckOptStats finishAndOptimize() {
     IRBuilder B(M);
     B.setInsertPoint(Entry);
     B.condBr(M.constI1(true), Left, Right);
@@ -192,107 +178,106 @@ struct DiamondFixture {
     B.br(Merge);
     B.setInsertPoint(Merge);
     B.ret();
-    ASSERT_TRUE(verifyModule(M).empty());
+    EXPECT_TRUE(verifyModule(M).empty());
+    CheckOptStats S = optimizeChecks(M);
+    EXPECT_TRUE(verifyModule(M).empty());
+    return S;
   }
 };
 
-TEST(CheckOptRCE, DominatingCheckKillsDescendants) {
-  DiamondFixture D;
-  IRBuilder B(D.M);
-  B.setInsertPoint(D.Entry);
-  B.spatialCheck(D.P, D.Bounds, 8, true); // Dominates everything below.
-  B.setInsertPoint(D.Left);
-  B.spatialCheck(D.P, D.Bounds, 8, true);  // Killed (equal).
-  B.setInsertPoint(D.Right);
-  B.spatialCheck(D.P, D.Bounds, 4, false); // Killed (weaker).
-  B.setInsertPoint(D.Merge);
-  B.spatialCheck(D.P, D.Bounds, 16, true); // Stronger: stays.
-  D.finish();
-
-  CheckOptStats S;
-  optimizeChecks(*D.F, CheckOptConfig{}, S);
-  EXPECT_EQ(S.DominatedEliminated, 2u);
-  EXPECT_EQ(S.ChecksBefore, 4u);
-  EXPECT_EQ(S.ChecksAfter, 2u);
-}
-
-TEST(CheckOptRCE, SiblingBranchFactsDoNotLeak) {
-  DiamondFixture D;
-  IRBuilder B(D.M);
-  B.setInsertPoint(D.Left);
-  B.spatialCheck(D.P, D.Bounds, 8, true);
-  B.setInsertPoint(D.Right);
-  B.spatialCheck(D.P, D.Bounds, 8, true); // Sibling, not dominated: stays.
-  B.setInsertPoint(D.Merge);
-  B.spatialCheck(D.P, D.Bounds, 8, true); // Post-merge, not dominated.
-  D.finish();
-
-  CheckOptStats S;
-  optimizeChecks(*D.F, CheckOptConfig{}, S);
-  EXPECT_EQ(S.ChecksAfter, 3u)
-      << "facts from one branch must not kill checks in the sibling or "
-         "below the merge";
-}
-
-TEST(CheckOptRCE, RangeSubsumptionCoversConstantOffsets) {
-  // The paper's monotonically increasing pointer, generalized: a wide
-  // dominating check proves narrower interior accesses through different
-  // GEPs in bounds.
-  DiamondFixture D;
-  TypeContext &Ctx = D.M.ctx();
-  IRBuilder B(D.M);
-  B.setInsertPoint(D.Entry);
-  B.spatialCheck(D.P, D.Bounds, 16, true); // Proves [0, 16).
-  Value *G1 = B.gep(Ctx.i8(), D.P, {D.M.constI64(8)});
-  B.setInsertPoint(D.Left);
-  B.spatialCheck(G1, D.Bounds, 8, true);   // [8, 16): range-covered.
-  B.setInsertPoint(D.Right);
-  Value *G2;
-  {
-    IRBuilder B2(D.M);
-    B2.setInsertPoint(D.Entry);
-    G2 = B2.gep(Ctx.i8(), D.P, {D.M.constI64(12)});
-  }
-  B.spatialCheck(G2, D.Bounds, 8, true);   // [12, 20): tail out, stays.
-  D.finish();
-
-  CheckOptStats S;
-  optimizeChecks(*D.F, CheckOptConfig{}, S);
-  EXPECT_EQ(S.RangeEliminated, 1u);
-  EXPECT_EQ(S.ChecksAfter, 2u);
-
-  // With range subsumption disabled the same input keeps all checks.
-  DiamondFixture D2;
-  IRBuilder C(D2.M);
-  C.setInsertPoint(D2.Entry);
-  C.spatialCheck(D2.P, D2.Bounds, 16, true);
-  Value *G3 = C.gep(Ctx.i8(), D2.P, {D2.M.constI64(8)});
-  C.setInsertPoint(D2.Left);
-  C.spatialCheck(G3, D2.Bounds, 8, true);
-  D2.finish();
-  CheckOptConfig NoRange;
-  NoRange.RangeSubsumption = false;
-  CheckOptStats S2;
-  optimizeChecks(*D2.F, NoRange, S2);
-  EXPECT_EQ(S2.RangeEliminated, 0u);
-  EXPECT_EQ(S2.ChecksAfter, 2u);
-}
-
-TEST(CheckOptRCE, AdjacentIntervalsMergeToCoverWideAccess) {
+TEST(InterProcRCE, DominatingFactsCoverEqualWeakerAndInteriorChecks) {
+  // The paper's monotonically increasing pointer, generalized: facts are
+  // byte intervals past a root, merged as they accumulate, so a dominated
+  // check through a different GEP of the same root is covered too.
   DiamondFixture D;
   TypeContext &Ctx = D.M.ctx();
   IRBuilder B(D.M);
   B.setInsertPoint(D.Entry);
   Value *G8 = B.gep(Ctx.i8(), D.P, {D.M.constI64(8)});
-  B.spatialCheck(D.P, D.Bounds, 8, true);  // [0, 8)
-  B.spatialCheck(G8, D.Bounds, 8, true);   // [8, 16)
-  B.spatialCheck(D.P, D.Bounds, 16, true); // [0, 16): merged cover, killed.
-  D.finish();
+  Value *G12 = B.gep(Ctx.i8(), D.P, {D.M.constI64(12)});
+  B.spatialCheck(D.P, D.Bounds, 8, true); // [0, 8)
+  B.spatialCheck(G8, D.Bounds, 8, true);  // [8, 16): merged to [0, 16).
+  B.setInsertPoint(D.Left);
+  B.spatialCheck(D.P, D.Bounds, 16, true); // Merged cover: deleted.
+  B.spatialCheck(G8, D.Bounds, 8, false);  // Equal: deleted.
+  B.setInsertPoint(D.Right);
+  B.spatialCheck(D.P, D.Bounds, 4, false); // Weaker: deleted.
+  B.spatialCheck(G12, D.Bounds, 8, true);  // [12, 20): tail out, stays.
+  B.setInsertPoint(D.Merge);
+  B.spatialCheck(D.P, D.Bounds, 32, true); // Stronger: stays.
+  CheckOptStats S = D.finishAndOptimize();
+  EXPECT_EQ(S.ChecksBefore, 7u);
+  EXPECT_EQ(S.InterProcCallerElided, 3u);
+  EXPECT_EQ(S.ChecksAfter, 4u);
+}
 
-  CheckOptStats S;
-  optimizeChecks(*D.F, CheckOptConfig{}, S);
-  EXPECT_EQ(S.RangeEliminated, 1u);
-  EXPECT_EQ(S.ChecksAfter, 2u);
+TEST(InterProcRCE, GuardedCheckCoveredByOtherBitcastIsDeleted) {
+  // The ijpeg shape: a guarded hull check on one bitcast of a global is
+  // covered by a dominating unconditional check on another bitcast of
+  // the same global over the same bytes. Skipping a check whose bytes are
+  // already proven is sound whether or not its guard would have held.
+  Module M;
+  TypeContext &Ctx = M.ctx();
+  GlobalVariable *Image =
+      M.createGlobal("image", Ctx.arrayOf(Ctx.i32(), 16), {});
+  Function *F = M.createFunction("main", Ctx.funcTy(Ctx.i32(), {Ctx.i64()}));
+  IRBuilder B(M);
+  B.setInsertPoint(F->createBlock("entry"));
+  Value *Image8 = B.bitcast(Image, Ctx.ptrTo(Ctx.i8()));
+  // Bounds narrower than the object, so no static range proof can settle
+  // either check on its own.
+  Value *Bounds =
+      B.makeBounds(Image8, B.gep(Ctx.i8(), Image8, {M.constI64(32)}));
+  B.spatialCheck(Image8, Bounds, 4, false);
+  Value *Guard = B.icmp(ICmpInst::Pred::SGE, F->arg(0), M.constI64(1));
+  Value *Hull8 = B.bitcast(Image, Ctx.ptrTo(Ctx.i8()));
+  B.spatialCheck(Hull8, Bounds, 4, false, Guard);
+  B.ret(M.constI32(0));
+  ASSERT_TRUE(verifyModule(M).empty());
+
+  CheckOptStats S = optimizeChecks(M);
+  EXPECT_TRUE(verifyModule(M).empty());
+  EXPECT_EQ(S.ChecksBefore, 2u);
+  EXPECT_EQ(S.InterProcCallerElided, 1u);
+  EXPECT_EQ(countChecks(M), 1u);
+  for (const auto &I : *F->entry()) {
+    if (auto *C = dyn_cast<SpatialCheckInst>(I.get())) {
+      EXPECT_FALSE(C->isGuarded()) << "the unconditional check survives";
+    }
+  }
+}
+
+TEST(InterProcRCE, GuardedCheckSourcesNoFact) {
+  // A guarded check may be skipped at run time, so a later unconditional
+  // check on the same bytes must stay — in its block and below it.
+  DiamondFixture D;
+  IRBuilder B(D.M);
+  B.setInsertPoint(D.Entry);
+  B.spatialCheck(D.P, D.Bounds, 8, true, D.Guard);
+  B.spatialCheck(D.P, D.Bounds, 8, true);
+  B.setInsertPoint(D.Left);
+  B.spatialCheck(D.P, D.Bounds, 8, true); // Covered by the unconditional.
+  CheckOptStats S = D.finishAndOptimize();
+  EXPECT_EQ(S.InterProcCallerElided, 1u);
+  EXPECT_EQ(S.ChecksAfter, 2u)
+      << "the unconditional entry check must survive the guarded one";
+}
+
+TEST(InterProcRCE, SiblingBranchFactsDoNotCoverGuardedCheck) {
+  DiamondFixture D;
+  IRBuilder B(D.M);
+  B.setInsertPoint(D.Left);
+  B.spatialCheck(D.P, D.Bounds, 8, true);
+  B.spatialCheck(D.P, D.Bounds, 8, true, D.Guard); // Dominated: deleted.
+  B.setInsertPoint(D.Right);
+  B.spatialCheck(D.P, D.Bounds, 8, true, D.Guard); // Sibling: stays.
+  B.setInsertPoint(D.Merge);
+  B.spatialCheck(D.P, D.Bounds, 8, true, D.Guard); // Post-merge: stays.
+  CheckOptStats S = D.finishAndOptimize();
+  EXPECT_EQ(S.InterProcCallerElided, 1u);
+  EXPECT_EQ(S.ChecksAfter, 3u)
+      << "facts from one branch must not cover checks in the sibling or "
+         "below the merge";
 }
 
 //===----------------------------------------------------------------------===//
@@ -1049,11 +1034,11 @@ TEST(RuntimeHulls, NestedConstantLoopRehoistsGuardedHulls) {
 // Precision: the struct-field exemplar
 //===----------------------------------------------------------------------===//
 
-TEST(CheckOptRCE, StructFieldRepeatsEliminatedAcrossBlocks) {
+TEST(InterProcRCE, StructFieldRepeatsEliminatedAcrossBlocks) {
   // Repeated accesses to the same field through one derived pointer: the
-  // seed's block-local pass cannot remove the branch-body check, the
-  // dominance walk can. ReoptimizeAfter is off so every elimination below
-  // is attributable to the subsystem.
+  // block-local eliminateRedundantChecks cannot remove the branch-body
+  // check, InterProc's dominance walk can. ReoptimizeAfter is off so
+  // every elimination below is attributable to the subsystem.
   const char *Src = "struct rec { long pad; long y; };\n"
                     "int main(int n) {\n"
                     "  struct rec* r = (struct rec*)malloc(16);\n"
@@ -1066,9 +1051,7 @@ TEST(CheckOptRCE, StructFieldRepeatsEliminatedAcrossBlocks) {
   SB.ReoptimizeAfter = false;
   PipelineResult Prog = planBuild(Src, SB);
   ASSERT_TRUE(Prog.ok()) << Prog.errorText();
-  EXPECT_GE(Prog.Pipeline.CheckOpt.DominatedEliminated +
-                Prog.Pipeline.CheckOpt.RangeEliminated,
-            2u)
+  EXPECT_GE(Prog.Pipeline.CheckOpt.InterProcCallerElided, 2u)
       << "branch store and final load are both covered by the first check";
   RunRequest RO;
   RO.Args = {1};
@@ -1077,7 +1060,7 @@ TEST(CheckOptRCE, StructFieldRepeatsEliminatedAcrossBlocks) {
   EXPECT_EQ(R.ExitCode, 6);
 }
 
-TEST(CheckOptRCE, ShrunkFieldBoundsAreNotConflated) {
+TEST(CheckOptSoundness, ShrunkFieldBoundsAreNotConflated) {
   // With sub-object shrinking, neighbouring fields carry different bounds
   // values: a check on one field must never subsume a check on another,
   // or the §2.1 sub-object overflow would slip through.
@@ -1098,11 +1081,14 @@ TEST(CheckOptRCE, ShrunkFieldBoundsAreNotConflated) {
 // Soundness: the attack corpus and BugBench under every knob combination
 //===----------------------------------------------------------------------===//
 
+/// The remaining sub-passes alone and together: hoist, hoist with
+/// runtime-limit hulls, interproc, partition, and all four.
 CheckOptConfig knobConfig(int Which) {
   CheckOptConfig Cfg;
-  Cfg.EliminateDominated = Which == 0 || Which == 3;
-  Cfg.RangeSubsumption = Which == 1 || Which == 3;
-  Cfg.HoistLoopChecks = Which == 2 || Which == 3;
+  Cfg.HoistLoopChecks = Which == 0 || Which == 1 || Which == 4;
+  Cfg.RuntimeLimitHulls = Which == 1 || Which == 4;
+  Cfg.InterProc = Which == 2 || Which == 4;
+  Cfg.Partition = Which == 3 || Which == 4;
   return Cfg;
 }
 
@@ -1126,12 +1112,13 @@ TEST_P(CheckOptAttackSweep, AttacksStillDetected) {
 }
 
 std::string knobName(const ::testing::TestParamInfo<int> &Info) {
-  static const char *const Names[4] = {"dominated", "range", "hoist", "all"};
+  static const char *const Names[5] = {"hoist", "runtime_limit", "interproc",
+                                       "partition", "all"};
   return Names[Info.param];
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKnobs, CheckOptAttackSweep,
-                         ::testing::Range(0, 4), knobName);
+                         ::testing::Range(0, 5), knobName);
 
 TEST(CheckOptSoundness, BugBenchStillDetected) {
   for (const auto &Bug : bugbenchSuite()) {

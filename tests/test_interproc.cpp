@@ -19,8 +19,8 @@
 ///     summaries, global-array checks settled by propagated index ranges,
 ///     and duplicate pre-call checks sunk into the unique callee,
 ///   * the acceptance criterion: strictly fewer dynamic checks on the
-///     perimeter, bh, and go workloads versus checkopt(range,redundant,
-///     hoist) alone, with identical program results.
+///     perimeter, bh, and go workloads versus checkopt(hoist) alone,
+///     with identical program results.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -230,7 +230,7 @@ TEST(InterProcSoundness, InternalEntryRejectedAfterInterProc) {
   // Without the interproc sub-pass no contract exists and any entry is
   // still accepted.
   PipelineResult Off =
-      buildSpec(Src, "optimize,softbound,checkopt(redundant,range,hoist)");
+      buildSpec(Src, "optimize,softbound,checkopt(hoist)");
   EXPECT_FALSE(Off.M->hasInterProcContract());
   RunResult OffTake = runSession(Off, RO).Combined;
   EXPECT_EQ(OffTake.Message.find("interproc"), std::string::npos)
@@ -269,7 +269,7 @@ TEST(InterProcPrecision, CalleeChecksElidedWhenEverySiteProves) {
                     "  return take(q);\n"
                     "}";
   PipelineResult Off =
-      buildSpec(Src, "optimize,softbound,checkopt(redundant,range,hoist)");
+      buildSpec(Src, "optimize,softbound,checkopt(hoist)");
   PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   EXPECT_GE(On.Pipeline.CheckOpt.InterProcCalleeElided, 2u)
       << "both callee loads are caller-proven";
@@ -334,7 +334,7 @@ TEST(InterProcPrecision, GuardedGlobalIndexElidedByRanges) {
                     "  return (int)(s % 7);\n"
                     "}";
   PipelineResult Off =
-      buildSpec(Src, "optimize,softbound,checkopt(redundant,range,hoist)");
+      buildSpec(Src, "optimize,softbound,checkopt(hoist)");
   PipelineResult On = buildSpec(Src, "optimize,softbound,checkopt");
   EXPECT_GE(On.Pipeline.CheckOpt.InterProcRangeElided, 1u);
   RunResult ROff = runSession(Off).Combined;
@@ -575,9 +575,8 @@ TEST(InterProcAcceptance, FewerDynamicChecksOnRecursiveWorkloads) {
         W = &Cand;
     ASSERT_NE(W, nullptr) << Name;
 
-    PipelineResult Off = buildSpec(W->Source,
-                                   "optimize,softbound,checkopt(redundant,"
-                                   "range,hoist)");
+    PipelineResult Off =
+        buildSpec(W->Source, "optimize,softbound,checkopt(hoist)");
     PipelineResult On = buildSpec(W->Source, "optimize,softbound,checkopt");
     RunResult ROff = runSession(Off).Combined;
     RunResult ROn = runSession(On).Combined;

@@ -82,8 +82,7 @@ const Workload &mustFindWorkload(const std::string &Name) {
 
 /// The explicit knob list reproducing the pre-partition default.
 constexpr const char *NoPartitionSpec =
-    "optimize,softbound,checkopt(redundant,range,hoist,runtime-limit,"
-    "interproc)";
+    "optimize,softbound,checkopt(hoist,runtime-limit,interproc)";
 
 } // namespace
 

@@ -125,26 +125,22 @@ TEST(PipelineSpec, RoundTripsCanonicalForms) {
       // and partition; an explicit knob list enables exactly what it
       // names, so any older default spells itself out — in particular the
       // pre-partition default, which is the no-partition A/B baseline.
-      {"checkopt(redundant,range,hoist,runtime-limit,interproc,partition)",
-       "checkopt"},
-      {"checkopt(redundant,range,hoist,runtime-limit,interproc)",
-       "checkopt(redundant,range,hoist,runtime-limit,interproc)"},
-      {"checkopt(redundant,range,hoist,interproc)",
-       "checkopt(redundant,range,hoist,interproc)"},
+      {"checkopt(hoist,runtime-limit,interproc,partition)", "checkopt"},
+      {"checkopt(hoist,runtime-limit,interproc)",
+       "checkopt(hoist,runtime-limit,interproc)"},
+      {"checkopt(hoist,interproc)", "checkopt(hoist,interproc)"},
       {"checkopt(partition)", "checkopt(partition)"},
       // runtime-limit implies (and canonically spells out) hoist.
       {"checkopt(runtime-limit)", "checkopt(hoist,runtime-limit)"},
-      {"checkopt(redundant,range,hoist)", "checkopt(redundant,range,hoist)"},
+      {"checkopt(hoist)", "checkopt(hoist)"},
       {"checkopt()", "checkopt"},
-      {"checkopt(range)", "checkopt(range)"},
       {"checkopt(interproc)", "checkopt(interproc)"},
-      {"checkopt(interproc,hoist,redundant)",
-       "checkopt(redundant,hoist,interproc)"},
-      {"checkopt(hoist,redundant)", "checkopt(redundant,hoist)"},
+      {"checkopt(partition,interproc,hoist)",
+       "checkopt(hoist,interproc,partition)"},
+      {"checkopt(interproc,hoist)", "checkopt(hoist,interproc)"},
       {"checkopt(off)", "checkopt(off)"},
       {"checkopt(none)", "checkopt(none)"},
-      {"checkopt(redundant,range,hoist,interproc,safe)",
-       "checkopt(redundant,range,hoist,interproc,safe)"},
+      {"checkopt(hoist,interproc,safe)", "checkopt(hoist,interproc,safe)"},
       {"softbound(no-reopt),reoptimize", "softbound(no-reopt),reoptimize"},
       {"optimize,softbound,checkopt(safe)",
        "optimize,softbound,checkopt(safe)"},
@@ -165,13 +161,17 @@ TEST(PipelineSpec, DiagnosesMalformedSpecs) {
   const std::pair<const char *, const char *> Cases[] = {
       {"optimize,chekopt", "unknown pass 'chekopt'"},
       {"checkopt(rnge)", "unknown knob 'rnge'"},
+      // The retired dominance and range sub-passes are gone from the
+      // table; InterProc's fact walk does their work.
+      {"checkopt(redundant)", "unknown knob 'redundant'"},
+      {"checkopt(range)", "unknown knob 'range'"},
       {"optimize(fast)", "takes no knobs"},
-      {"checkopt(range", "unmatched '('"},
-      {"checkopt)range(", "unmatched ')'"},
-      {"checkopt(off,range)", "cannot be combined"},
+      {"checkopt(hoist", "unmatched '('"},
+      {"checkopt)hoist(", "unmatched ')'"},
+      {"checkopt(off,hoist)", "cannot be combined"},
       {"optimize,,softbound", "empty pass name"},
-      {"checkopt(range,)", "empty knob"},
-      {"checkopt(range)x", "trailing text"},
+      {"checkopt(hoist,)", "empty knob"},
+      {"checkopt(hoist)x", "trailing text"},
   };
   for (const auto &[Spec, Needle] : Cases) {
     PipelinePlan Plan;
@@ -203,8 +203,7 @@ TEST(PipelineSpec, CheckOptKnobsSelectSubPasses) {
   PipelineResult PH = Hoist.frontend(LoopSource).build();
   ASSERT_TRUE(PH.ok()) << PH.errorText();
   EXPECT_GE(PH.Pipeline.CheckOpt.LoopChecksHoisted, 1u);
-  EXPECT_EQ(PH.Pipeline.CheckOpt.DominatedEliminated, 0u);
-  EXPECT_EQ(PH.Pipeline.CheckOpt.RangeEliminated, 0u);
+  EXPECT_EQ(PH.Pipeline.CheckOpt.InterProcChecksElided, 0u);
   EXPECT_EQ(PH.Pipeline.CheckOpt.SafeChecksElided, 0u);
 
   PipelinePlan None;
@@ -228,8 +227,6 @@ TEST(PipelineSpec, InterProcKnobSelectsOnlyInterProc) {
   PipelineResult P = Only.frontend(Src).build();
   ASSERT_TRUE(P.ok()) << P.errorText();
   EXPECT_GT(P.Pipeline.CheckOpt.InterProcChecksElided, 0u);
-  EXPECT_EQ(P.Pipeline.CheckOpt.DominatedEliminated, 0u);
-  EXPECT_EQ(P.Pipeline.CheckOpt.RangeEliminated, 0u);
   EXPECT_EQ(P.Pipeline.CheckOpt.LoopChecksHoisted, 0u);
   EXPECT_EQ(P.Pipeline.CheckOpt.SafeChecksElided, 0u);
   RunResult R = runSession(P).Combined;
@@ -239,8 +236,8 @@ TEST(PipelineSpec, InterProcKnobSelectsOnlyInterProc) {
   // And the complementary set leaves interproc off.
   PipelinePlan Rest;
   ASSERT_TRUE(
-      Rest.appendSpec("optimize,softbound,checkopt(redundant,range,hoist)",
-                      &Err))
+      Rest.appendSpec(
+          "optimize,softbound,checkopt(hoist,runtime-limit,partition)", &Err))
       << Err;
   PipelineResult PR = Rest.frontend(Src).build();
   ASSERT_TRUE(PR.ok()) << PR.errorText();
@@ -341,16 +338,18 @@ TEST(PipelineTimings, EveryPassIsRecordedInOrder) {
 struct DeepBuild {
   std::string Spec;
   int Ifs = 0;
+  bool ElseIf = false; ///< Chain the ifs as `else if`s.
   bool Ok = false;
-  std::string Errors;
+  std::string Errors{};
 };
 
 void *buildIfChain(void *P) {
   auto *D = static_cast<DeepBuild *>(P);
   std::string Src = "int g;\nint a[8];\nint main() {\n  int s = 0;\n";
   for (int I = 0; I < D->Ifs; ++I)
-    Src += "  if (g > " + std::to_string(I) + ") { s = s + a[" +
-           std::to_string(I % 8) + "]; }\n";
+    Src += std::string(I && D->ElseIf ? "  else if (g == " : "  if (g > ") +
+           std::to_string(I) + ") { s = s + a[" + std::to_string(I % 8) +
+           "]; }\n";
   Src += "  return s;\n}\n";
   PipelinePlan Plan;
   Plan.frontend(Src);
@@ -362,23 +361,33 @@ void *buildIfChain(void *P) {
   return nullptr;
 }
 
+/// Builds \p D on a thread with a 128 KB stack.
+void buildOnSmallStack(DeepBuild &D) {
+  pthread_attr_t Attr;
+  ASSERT_EQ(pthread_attr_init(&Attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&Attr, 128 * 1024), 0);
+  pthread_t T;
+  ASSERT_EQ(pthread_create(&T, &Attr, buildIfChain, &D), 0);
+  pthread_join(T, nullptr);
+  pthread_attr_destroy(&Attr);
+}
+
 TEST(DeepCFG, IfChainBuildsOnASmallStack) {
   // A chain of N ifs nests the dominator tree N joins deep and the CFG's
   // depth-first walk 2N blocks deep. Every walk over either must be
   // iterative: 800 ifs overflow a 128 KB stack under any recursive one.
+  // An `else if` chain nests the same way in the parser itself, so the
+  // frontend must read it without recursing once per link.
   for (const char *Spec : {"optimize,softbound,checkopt",
-                           "softbound,checkopt(redundant)",
+                           "softbound,checkopt(hoist)",
                            "softbound,checkopt(interproc)"}) {
     DeepBuild D{Spec, 800};
-    pthread_attr_t Attr;
-    ASSERT_EQ(pthread_attr_init(&Attr), 0);
-    ASSERT_EQ(pthread_attr_setstacksize(&Attr, 128 * 1024), 0);
-    pthread_t T;
-    ASSERT_EQ(pthread_create(&T, &Attr, buildIfChain, &D), 0);
-    pthread_join(T, nullptr);
-    pthread_attr_destroy(&Attr);
+    buildOnSmallStack(D);
     EXPECT_TRUE(D.Ok) << Spec << ": " << D.Errors;
   }
+  DeepBuild ElseIfs{"optimize,softbound,checkopt", 500, true};
+  buildOnSmallStack(ElseIfs);
+  EXPECT_TRUE(ElseIfs.Ok) << "else-if chain: " << ElseIfs.Errors;
 }
 
 } // namespace
